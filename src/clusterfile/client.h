@@ -92,13 +92,20 @@ class TimeoutError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Client-side retransmission policy: per-request timeout with bounded
-/// exponential backoff, and a cap on total delivery attempts.
+/// Retransmission policy: per-request timeout with bounded exponential
+/// backoff, and a cap on total delivery attempts. Client accesses and the
+/// background copy path (ClusterConfig::repair_retry) both run on it.
 struct RetryPolicy {
   std::chrono::milliseconds base_timeout{250};
   std::chrono::milliseconds max_timeout{2000};
   double backoff = 2.0;
   int max_attempts = 5;
+
+  /// Backoff timeout of the given 1-based attempt: base_timeout ×
+  /// backoff^(attempt-1), capped at max_timeout, never below 0.1 ms.
+  std::chrono::nanoseconds timeout_for(int attempt) const;
+  /// The whole delivery budget: timeout_for summed over every attempt.
+  std::chrono::nanoseconds budget() const;
 };
 
 /// Outcome of one subfile's part of an access.
@@ -360,11 +367,12 @@ class ClusterfileClient {
   /// kUnknownView via `reinstall(i)` (a fresh kSetView for request i's
   /// target, or nullopt when not applicable), and fails over along a
   /// request's backup chain when its current node is given up on. One
-  /// delivery budget — group_budget(), the summed backoff schedule — spans
-  /// a request's whole replica chain: attempts never reset on failover and
-  /// every deadline is clipped to the budget's end. With `quorum` > 0, a
-  /// group whose ok count reaches min(quorum, fan-out) demotes its
-  /// remaining requests to stragglers_ instead of waiting them out. Fills
+  /// delivery budget — RetryPolicy::budget(), the summed backoff schedule —
+  /// spans a request's whole replica chain: attempts never reset on
+  /// failover and every deadline is clipped to the budget's end. With
+  /// `quorum` > 0, a group whose ok count reaches min(quorum, fan-out)
+  /// demotes its remaining requests to stragglers_ instead of waiting them
+  /// out. Fills
   /// `t.per_subfile` with one status per *group* (group_count entries):
   /// kFailed only when every replica of the group was lost; kDegraded when
   /// data survived but a replica didn't. Throws TimeoutError /
@@ -375,11 +383,6 @@ class ClusterfileClient {
                 const std::function<Message(std::size_t)>& rebuild,
                 const std::function<std::optional<Message>(std::size_t)>& reinstall,
                 AccessTimings& t, std::vector<Message>* replies);
-
-  /// RetryPolicy's backoff timeout for the given 1-based attempt.
-  std::chrono::nanoseconds timeout_for(int attempt) const;
-  /// The whole delivery budget: timeout_for summed over every attempt.
-  std::chrono::nanoseconds group_budget() const;
 
   /// Earliest straggler retransmit deadline (time_point::max() when none).
   Clock::time_point straggler_next_deadline() const;

@@ -16,6 +16,14 @@ namespace pfm {
 
 namespace {
 
+/// Re-plan rounds after a copy queue drains (await_repairs /
+/// await_rebalance): enough for a node rejoin or a lost source to converge,
+/// bounded so persistently failing copies cannot spin into a livelock.
+constexpr int kConvergeRounds = 4;
+/// Post-publish catch-up syncs per copy; each stops at the first sync that
+/// moves 0 bytes.
+constexpr int kCatchUpSyncs = 5;
+
 std::int64_t env_i64(const char* name, std::int64_t fallback) {
   const char* v = std::getenv(name);
   if (!v || !*v) return fallback;
@@ -311,19 +319,21 @@ Clusterfile::Clusterfile(ClusterConfig config, PartitioningPattern physical)
         static_cast<std::int64_t>(mount_timer.elapsed_us());
   }
 
+  // Migrations pull in rebalance_chunk pieces so foreground traffic
+  // interleaves; a repair is one unbounded full pull.
   if (config_.ring_placement)
-    rebalancer_ = std::make_unique<Rebalancer>(
-        [this](const MigrationEntry& e, Rebalancer::ExecStats* stats) {
-          return execute_migration(e, stats);
+    rebalancer_ = std::make_unique<CopyQueue>(
+        [this](const CopyEntry& e, CopyStats* stats) {
+          return copy_and_publish(e, config_.rebalance_chunk, stats);
         },
         config_.max_concurrent_migrations);
 
   if (config_.self_heal) {
-    // Scheduler before detector: the detector's on_dead callback enqueues
-    // into the scheduler, so it must already exist when probing starts.
-    repairer_ = std::make_unique<RepairScheduler>(
-        [this](const RepairPlanEntry& e, std::int64_t* bytes) {
-          return execute_repair(e, bytes);
+    // Queue before detector: the detector's on_dead callback enqueues into
+    // the queue, so it must already exist when probing starts.
+    repairer_ = std::make_unique<CopyQueue>(
+        [this](const CopyEntry& e, CopyStats* stats) {
+          return copy_and_publish(e, /*chunk_bytes=*/0, stats);
         },
         config_.max_concurrent_repairs);
     std::vector<int> monitored;
@@ -576,7 +586,7 @@ ResyncStats Clusterfile::restart_server(std::size_t io_index) {
   // repaired produce no entries, so this is idempotent.
   if (repairer_ && detector_)
     for (const int dead : detector_->dead_nodes())
-      if (dead != node) on_node_dead(dead);
+      if (dead != node) enqueue_repairs(dead);
   return rs;
 }
 
@@ -704,31 +714,37 @@ ReliabilityCounters Clusterfile::server_reliability() const {
 }
 
 ReliabilityCounters Clusterfile::repair_reliability() const {
-  return repairer_ ? repairer_->counters() : ReliabilityCounters{};
+  ReliabilityCounters rc;
+  if (!repairer_) return rc;
+  const RebalanceCounters q = repairer_->counters();
+  rc.repairs_started = q.migrations_started;
+  rc.repairs_completed = q.migrations_completed;
+  rc.repairs_failed = q.migrations_failed;
+  rc.bytes_re_replicated = q.bytes_migrated + q.bytes_caught_up;
+  return rc;
+}
+
+void Clusterfile::await_converged(CopyQueue& queue,
+                                  const std::function<bool()>& replan) {
+  queue.await_idle();
+  for (int round = 0; round < kConvergeRounds; ++round) {
+    if (!replan()) return;
+    queue.await_idle();
+  }
 }
 
 void Clusterfile::await_repairs() {
   if (!repairer_) return;
-  repairer_->await_idle();
-  if (!detector_) return;
   // Converge: a node that rejoined may have unblocked repairs that were
   // skipped earlier for lack of a usable replacement, and a repair that
-  // lost its source mid-copy is terminal in the scheduler but re-plannable
-  // from current placement. Bounded rounds so persistently failing
-  // repairs cannot spin this into a livelock.
-  for (int round = 0; round < 4; ++round) {
+  // lost its source mid-copy is re-plannable from current placement.
+  await_converged(*repairer_, [this] {
     bool planned = false;
-    for (const int dead : detector_->dead_nodes()) {
-      std::vector<RepairPlanEntry> plan = plan_repairs(
-          placement_->snapshot(), dead, config_.compute_nodes,
-          config_.max_io_nodes, [this](int n) { return node_unplaceable(n); });
-      if (plan.empty()) continue;
-      planned = true;
-      repairer_->enqueue(std::move(plan));
-    }
-    if (!planned) return;
-    repairer_->await_idle();
-  }
+    if (detector_)
+      for (const int dead : detector_->dead_nodes())
+        if (enqueue_repairs(dead) > 0) planned = true;
+    return planned;
+  });
 }
 
 bool Clusterfile::repairs_active() const {
@@ -749,124 +765,18 @@ std::vector<int> Clusterfile::under_replicated_subfiles() const {
 
 void Clusterfile::on_node_dead(int node) {
   if (!repairer_) return;
-  std::vector<RepairPlanEntry> plan = plan_repairs(
-      placement_->snapshot(), node, config_.compute_nodes,
-      config_.max_io_nodes, [this](int n) { return node_unplaceable(n); });
-  PFM_INFO("clusterfile: node ", node, " declared dead; ", plan.size(),
+  const std::size_t planned = enqueue_repairs(node);
+  PFM_INFO("clusterfile: node ", node, " declared dead; ", planned,
            " subfile repair(s) planned");
-  if (!plan.empty()) repairer_->enqueue(std::move(plan));
 }
 
-bool Clusterfile::execute_repair(const RepairPlanEntry& entry,
-                                 std::int64_t* bytes) {
-  const int dst = entry.replacement_node;
-  const std::size_t dst_idx =
-      static_cast<std::size_t>(dst - config_.compute_nodes);
-  if (is_crashed(dst_idx)) {
-    PFM_WARN("repair: replacement node ", dst, " crashed before subfile ",
-             entry.subfile, " could be re-replicated");
-    return false;
-  }
-  // Safe to hold across the copy: servers_ entries are only replaced by
-  // restart_server/relayout, and both await_idle() on the scheduler first.
-  IoServer& dstsrv = *servers_[dst_idx];
-
-  if (!dstsrv.has_subfile(entry.subfile)) {
-    // A fresh replica at epoch 0: the first sync below is forcibly a full
-    // transfer — the degenerate whole-subfile PROJ of the repair plan. The
-    // storage slot comes from a global counter past the configured replica
-    // indices, so on disk the new copy never collides with the dead node's
-    // surviving file.
-    const int slot =
-        config_.replication + repair_slot_.fetch_add(1, std::memory_order_relaxed);
-    const StorageFaultPlan* faults =
-        config_.storage_faults ? &*config_.storage_faults : nullptr;
-    auto storage = make_storage(config_.storage_dir, entry.subfile, slot,
-                                faults, /*node=*/dst);
-    if (integrity_block_ > 0)
-      storage = std::make_unique<IntegrityStorage>(std::move(storage),
-                                                   integrity_block_);
-    dstsrv.adopt_subfile(entry.subfile, std::move(storage));
-  }
-
-  // Copy sources: the surviving replicas, preferred by write epoch (same
-  // authority rule as scrub), rotated on failure.
-  struct Source {
-    int node = 0;
-    std::int64_t epoch = 0;
-  };
-  std::vector<Source> sources;
-  for (const int src : entry.new_replicas) {
-    if (src == dst || node_unusable(src)) continue;
-    sources.push_back({src, server_at_node(src).subfile_epoch(entry.subfile)});
-  }
-  if (sources.empty()) {
-    PFM_WARN("repair: no live source for subfile ", entry.subfile);
-    return false;
-  }
-  std::stable_sort(sources.begin(), sources.end(),
-                   [](const Source& a, const Source& b) {
-                     return a.epoch > b.epoch;
-                   });
-
-  // One shared delivery budget for the whole repair (the PR-6 discipline):
-  // per-attempt timeouts follow the backoff schedule and their sum is the
-  // hard deadline across every source tried.
-  const RetryPolicy& rp = config_.repair_retry;
-  std::chrono::milliseconds per = rp.base_timeout;
-  std::chrono::milliseconds budget{0};
-  {
-    std::chrono::milliseconds t = rp.base_timeout;
-    for (int a = 0; a < rp.max_attempts; ++a) {
-      budget += t;
-      t = std::min(std::chrono::milliseconds(static_cast<std::int64_t>(
-                       static_cast<double>(t.count()) * rp.backoff)),
-                   rp.max_timeout);
-    }
-  }
-  const auto deadline = std::chrono::steady_clock::now() + budget;
-  std::int64_t copied = 0;
-  for (int attempt = 0; attempt < rp.max_attempts; ++attempt) {
-    const Source& src = sources[static_cast<std::size_t>(attempt) % sources.size()];
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) break;
-    const auto slice = std::min(
-        per, std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now));
-    const IoServer::SyncOutcome out =
-        dstsrv.sync_subfile(entry.subfile, src.node, /*attempts=*/1, slice);
-    per = std::min(std::chrono::milliseconds(static_cast<std::int64_t>(
-                       static_cast<double>(per.count()) * rp.backoff)),
-                   rp.max_timeout);
-    if (!out.ok) continue;
-    copied += out.bytes;
-    // Publish first, then close the gap: foreground writes that landed on
-    // the survivors while the bulk copy ran are pulled over by catch-up
-    // syncs until one moves nothing. After the publish every *new* write
-    // fans out to the replacement too, so the gap only shrinks.
-    placement_->update(static_cast<std::size_t>(entry.subfile),
-                       entry.new_replicas);
-    for (int c = 0; c < 3; ++c) {
-      const IoServer::SyncOutcome catchup =
-          dstsrv.sync_subfile(entry.subfile, src.node, /*attempts=*/1, slice);
-      if (!catchup.ok) break;
-      copied += catchup.bytes;
-      if (catchup.bytes == 0) break;
-    }
-    if (bytes != nullptr) *bytes = copied;
-    // Journal the published placement. A crash point firing on this worker
-    // thread must not kill the scheduler — the frozen layer already
-    // guarantees nothing later persists, which *is* the simulated kill.
-    try {
-      persist_meta();
-    } catch (const SimulatedCrash&) {
-    }
-    PFM_INFO("repair: subfile ", entry.subfile, " re-replicated to node ",
-             dst, " from node ", src.node, " (", copied, " bytes)");
-    return true;
-  }
-  PFM_WARN("repair: delivery budget exhausted for subfile ", entry.subfile,
-           " -> node ", dst);
-  return false;
+std::size_t Clusterfile::enqueue_repairs(int dead) {
+  std::vector<CopyEntry> plan = plan_repairs(
+      placement_->snapshot(), dead, config_.compute_nodes,
+      config_.max_io_nodes, [this](int n) { return node_unplaceable(n); });
+  const std::size_t planned = plan.size();
+  repairer_->enqueue(std::move(plan));
+  return planned;
 }
 
 int Clusterfile::add_io_node(int weight) {
@@ -1003,29 +913,27 @@ void Clusterfile::remove_node(std::size_t io_index) {
 
 void Clusterfile::await_rebalance() {
   if (!rebalancer_) return;
-  rebalancer_->await_idle();
   // Converge: a migration that lost its source, destination, or
-  // coordinator mid-copy is terminal in the scheduler but re-plannable
-  // from current placement — re-planning against the recorded target
-  // emits only what is still missing (completed moves diff to nothing).
-  // Bounded rounds so persistently failing migrations cannot livelock.
-  for (int round = 0; round < 4; ++round) {
+  // coordinator mid-copy is re-plannable from current placement —
+  // re-planning against the recorded target emits only what is still
+  // missing (completed moves diff to nothing).
+  await_converged(*rebalancer_, [this] {
     std::vector<std::vector<int>> target;
     {
       MutexLock lock(member_mu_);
       target = rebalance_target_;
     }
-    if (target.empty()) return;
+    if (target.empty()) return false;
     RebalancePlan plan = plan_rebalance(placement_->snapshot(), target,
                                         *meta_.physical, file_size_estimate());
     if (plan.entries.empty()) {
       MutexLock lock(member_mu_);
       if (rebalance_target_ == target) rebalance_target_.clear();
-      return;
+      return false;
     }
     rebalancer_->enqueue(std::move(plan.entries));
-    rebalancer_->await_idle();
-  }
+    return true;
+  });
 }
 
 RebalanceCounters Clusterfile::rebalance_counters() const {
@@ -1087,36 +995,36 @@ void Clusterfile::enqueue_rebalance() {
   if (!plan.entries.empty()) rebalancer_->enqueue(std::move(plan.entries));
 }
 
-bool Clusterfile::execute_migration(const MigrationEntry& entry,
-                                    Rebalancer::ExecStats* stats) {
+bool Clusterfile::copy_and_publish(const CopyEntry& entry,
+                                   std::int64_t chunk_bytes,
+                                   CopyStats* stats) {
   const std::size_t sub = static_cast<std::size_t>(entry.subfile);
-  {
-    // Idempotent no-op: crash-resume re-plans from current placement, and
-    // a duplicate entry whose publish already landed must not copy again
-    // (that is what keeps re-planning convergent, the kSync discipline).
-    const std::vector<int> current = placement_->replicas_of(sub);
-    if (std::find(current.begin(), current.end(), entry.target_node) !=
-        current.end())
-      return true;
-  }
   const int dst = entry.target_node;
+  const std::vector<int> current = placement_->replicas_of(sub);
+  // Idempotent no-op: crash-resume re-plans from current placement, and a
+  // duplicate entry whose publish already landed must not copy again (that
+  // is what keeps re-planning convergent, the kSync discipline).
+  if (std::find(current.begin(), current.end(), dst) != current.end())
+    return true;
   const std::size_t dst_idx =
       static_cast<std::size_t>(dst - config_.compute_nodes);
   if (dst_idx >= servers_.size() || !servers_[dst_idx] ||
       node_unusable(dst)) {
-    PFM_WARN("rebalance: target node ", dst, " unusable for subfile ",
+    PFM_WARN("copy: target node ", dst, " unusable for subfile ",
              entry.subfile);
     return false;
   }
   // Safe to hold across the copy: servers_ entries are only replaced by
   // restart_server/relayout/add_io_node, and the first two await_idle() on
-  // the rebalancer first while the last only touches spare (null) slots.
+  // both queues first while the last only touches spare (null) slots.
   IoServer& dstsrv = *servers_[dst_idx];
 
   if (!dstsrv.has_subfile(entry.subfile)) {
-    // Fresh replica at epoch 0: the first pull below is forcibly a full
-    // transfer. Same distinct-slot rule as repair, so the new copy never
-    // collides on disk with the retiring node's surviving file.
+    // A fresh replica at epoch 0: the first pull below is forcibly a full
+    // transfer — the degenerate whole-subfile PROJ of the plan. The storage
+    // slot comes from a global counter past the configured replica indices,
+    // so on disk the new copy never collides with a retired or dead node's
+    // surviving file.
     const int slot = config_.replication +
                      repair_slot_.fetch_add(1, std::memory_order_relaxed);
     const StorageFaultPlan* faults =
@@ -1129,20 +1037,21 @@ bool Clusterfile::execute_migration(const MigrationEntry& entry,
     dstsrv.adopt_subfile(entry.subfile, std::move(storage));
   }
 
-  // Copy sources: the *current* placement's replicas — a draining holder is
-  // explicitly usable here, reading its copies off it is what the drain is.
-  // Preferred by write epoch (the scrub authority rule), rotated on failure.
+  // Copy sources: the *current* placement's usable replicas — a draining
+  // holder is explicitly usable, reading its copies off it is what the
+  // drain is. Preferred by write epoch (the scrub authority rule), rotated
+  // on failure.
   struct Source {
     int node = 0;
     std::int64_t epoch = 0;
   };
   std::vector<Source> sources;
-  for (const int src : placement_->replicas_of(sub)) {
-    if (src == dst || node_unusable(src)) continue;
+  for (const int src : current) {
+    if (node_unusable(src)) continue;
     sources.push_back({src, server_at_node(src).subfile_epoch(entry.subfile)});
   }
   if (sources.empty()) {
-    PFM_WARN("rebalance: no live source for subfile ", entry.subfile);
+    PFM_WARN("copy: no live source for subfile ", entry.subfile);
     return false;
   }
   std::stable_sort(sources.begin(), sources.end(),
@@ -1150,31 +1059,20 @@ bool Clusterfile::execute_migration(const MigrationEntry& entry,
                      return a.epoch > b.epoch;
                    });
 
-  // One shared delivery budget across every source tried (the repair/PR-6
-  // discipline): per-attempt timeouts follow the backoff schedule and their
-  // sum is the migration's hard deadline.
+  // One shared delivery budget across every source tried (the client
+  // access discipline): per-attempt timeouts follow the backoff schedule
+  // and their sum is the copy's hard deadline.
   const RetryPolicy& rp = config_.repair_retry;
-  std::chrono::milliseconds per = rp.base_timeout;
-  std::chrono::milliseconds budget{0};
-  {
-    std::chrono::milliseconds t = rp.base_timeout;
-    for (int a = 0; a < rp.max_attempts; ++a) {
-      budget += t;
-      t = std::min(std::chrono::milliseconds(static_cast<std::int64_t>(
-                       static_cast<double>(t.count()) * rp.backoff)),
-                   rp.max_timeout);
-    }
-  }
-  const auto deadline = std::chrono::steady_clock::now() + budget;
-  for (int attempt = 0; attempt < rp.max_attempts; ++attempt) {
+  const auto deadline = std::chrono::steady_clock::now() + rp.budget();
+  for (int attempt = 1; attempt <= rp.max_attempts; ++attempt) {
     const Source& src =
-        sources[static_cast<std::size_t>(attempt) % sources.size()];
+        sources[static_cast<std::size_t>(attempt - 1) % sources.size()];
     const auto now = std::chrono::steady_clock::now();
     if (now >= deadline) break;
-    const auto slice = std::min(
-        per,
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now));
-    // Chunked bulk stream: each pull is bounded by rebalance_chunk, so
+    const auto slice = std::chrono::duration_cast<std::chrono::milliseconds>(
+        std::min<std::chrono::nanoseconds>(rp.timeout_for(attempt),
+                                           deadline - now));
+    // Bulk stream: with chunk_bytes > 0 each pull is bounded, so
     // foreground requests interleave at the source between chunks. A
     // chunked delta adopts the partial epoch per pull (resume = pull
     // again); a chunked full transfer resumes by offset with the epoch
@@ -1185,7 +1083,7 @@ bool Clusterfile::execute_migration(const MigrationEntry& entry,
     while (true) {
       const IoServer::SyncOutcome out =
           dstsrv.sync_subfile(entry.subfile, src.node, /*attempts=*/1, slice,
-                              config_.rebalance_chunk, off, cap);
+                              chunk_bytes, off, cap);
       if (!out.ok) break;
       stats->bulk_bytes += out.bytes;
       if (!out.more) {
@@ -1198,34 +1096,32 @@ bool Clusterfile::execute_migration(const MigrationEntry& entry,
       }
       if (std::chrono::steady_clock::now() >= deadline) break;
     }
-    per = std::min(std::chrono::milliseconds(static_cast<std::int64_t>(
-                       static_cast<double>(per.count()) * rp.backoff)),
-                   rp.max_timeout);
     if (!streamed) continue;  // rotate source; offset/cap reset with it
     // Publish first, then close the gap: after the epoch bump every new
     // write fans out to the target too, so catch-up syncs only shrink it.
-    // The retiring node's stale copy is left inert — the published
-    // placement no longer aims anyone at it (same as post-repair).
+    // A retired node's stale copy is left inert — the published placement
+    // no longer aims anyone at it.
     placement_->update(sub, entry.new_replicas);
-    for (int c = 0; c < 5; ++c) {
+    for (int c = 0; c < kCatchUpSyncs; ++c) {
       const IoServer::SyncOutcome catchup = dstsrv.sync_subfile(
           entry.subfile, src.node, /*attempts=*/1, slice);
       if (!catchup.ok) break;
       stats->catchup_bytes += catchup.bytes;
       if (catchup.bytes == 0) break;
     }
-    // Journal the published placement (same worker-thread crash discipline
-    // as execute_repair: freezing is the kill, the scheduler survives).
+    // Journal the published placement. A crash point firing on this worker
+    // thread must not kill the queue — the frozen layer already guarantees
+    // nothing later persists, which *is* the simulated kill.
     try {
       persist_meta();
     } catch (const SimulatedCrash&) {
     }
-    PFM_INFO("rebalance: subfile ", entry.subfile, " migrated to node ", dst,
+    PFM_INFO("copy: subfile ", entry.subfile, " -> node ", dst,
              " from node ", src.node, " (", stats->bulk_bytes, " bulk + ",
              stats->catchup_bytes, " catch-up bytes)");
     return true;
   }
-  PFM_WARN("rebalance: delivery budget exhausted for subfile ", entry.subfile,
+  PFM_WARN("copy: delivery budget exhausted for subfile ", entry.subfile,
            " -> node ", dst);
   return false;
 }

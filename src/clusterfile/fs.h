@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -18,7 +19,6 @@
 #include "clusterfile/io_server.h"
 #include "clusterfile/metadata.h"
 #include "clusterfile/placement.h"
-#include "clusterfile/rebalance.h"
 #include "clusterfile/repair.h"
 #include "clusterfile/storage_fault.h"
 #include "redist/execute.h"
@@ -62,7 +62,7 @@ struct ClusterConfig {
   /// Self-healing (DESIGN.md "Self-healing"): run a heartbeat failure
   /// detector over the I/O nodes and, when one is declared dead,
   /// re-replicate every subfile it hosted onto a surviving node via the
-  /// repair scheduler, then republish the placement so clients re-aim.
+  /// repair queue, then republish the placement so clients re-aim.
   /// Requires replication > 1.
   bool self_heal = false;
   /// Heartbeat thresholds; the PFM_HEARTBEAT_{INTERVAL_MS,TIMEOUT_MS,
@@ -70,10 +70,10 @@ struct ClusterConfig {
   FailureDetector::Options heartbeat{};
   /// Worker bound on concurrent subfile re-replications.
   int max_concurrent_repairs = 2;
-  /// Delivery budget of one subfile repair: per-attempt sync timeouts
-  /// follow this backoff schedule, and the summed schedule is the repair's
-  /// hard deadline across every source it tries (the shared per-access
-  /// budget discipline of client accesses).
+  /// Delivery budget of one subfile repair or migration: per-attempt sync
+  /// timeouts follow this backoff schedule, and the summed schedule is the
+  /// copy's hard deadline across every source it tries (the shared
+  /// per-access budget discipline of client accesses).
   RetryPolicy repair_retry{};
   /// Elastic membership (DESIGN.md "Elastic membership & rebalancing"):
   /// place subfile replicas with the weighted consistent-hash ring instead
@@ -235,16 +235,19 @@ class Clusterfile {
   /// suppressed, corruptions caught, errors sent).
   ReliabilityCounters client_reliability() const;
   ReliabilityCounters server_reliability() const;
-  /// Repair-scheduler counters (repairs_started/completed/failed,
-  /// bytes_re_replicated; the other fields stay zero). Empty when
-  /// self-healing is off.
+  /// Repair-queue counters (repairs_started/completed/failed, and
+  /// bytes_re_replicated = bulk + catch-up bytes; the other fields stay
+  /// zero). Empty when self-healing is off.
   ReliabilityCounters repair_reliability() const;
 
   /// The heartbeat failure detector, or nullptr when self_heal is off.
   /// mark_dead/mark_alive on it drive the repair hooks directly (tests).
   FailureDetector* detector() { return detector_.get(); }
-  /// Blocks until no repair is queued or executing. Each repair's execution
-  /// is bounded by its delivery budget, so this terminates.
+  /// Blocks until no repair is queued or executing, then re-plans every
+  /// still-dead node from current placement for a bounded number of rounds
+  /// (a repair that lost its source mid-copy is terminal in the queue but
+  /// re-plannable). Each repair's execution is bounded by its delivery
+  /// budget, so this terminates.
   void await_repairs();
   /// True while a repair is queued or executing.
   bool repairs_active() const;
@@ -284,7 +287,7 @@ class Clusterfile {
   /// Blocks until the queued migrations finish, then re-plans against the
   /// recorded target placement for a bounded number of rounds: a migration
   /// that lost its source, destination, or coordinator mid-copy is
-  /// terminal in the scheduler but re-plannable from current placement, so
+  /// terminal in the queue but re-plannable from current placement, so
   /// this is also the crash-resume entry point.
   void await_rebalance();
 
@@ -349,20 +352,26 @@ class Clusterfile {
                      bool preserve = false);
   void start_clients();
   IoServer& server_at_node(int node_id);
-  /// Detector on_dead hook: plans repairs for the lost node's subfiles and
-  /// enqueues them. Runs on the detector (or overriding) thread.
+  /// Detector on_dead hook: enqueues repairs for the lost node's subfiles.
+  /// Runs on the detector (or overriding) thread.
   void on_node_dead(int node);
-  /// RepairScheduler execute hook: adopts fresh storage on the replacement
-  /// node, copies from the best surviving replica under the repair delivery
-  /// budget, publishes the new placement, then closes the foreground-write
-  /// gap with catch-up syncs. Runs on a repair worker thread.
-  bool execute_repair(const RepairPlanEntry& entry, std::int64_t* bytes);
-  /// Rebalancer execute hook: same discipline as execute_repair, but the
-  /// bulk copy is chunked (rebalance_chunk per pull) so foreground traffic
-  /// interleaves, and the entry is an idempotent no-op when the published
-  /// placement already includes the target (crash-resume re-plans).
-  bool execute_migration(const MigrationEntry& entry,
-                         Rebalancer::ExecStats* stats);
+  /// Plans repairs for `dead`'s subfiles from current placement and
+  /// enqueues them; returns how many were planned.
+  std::size_t enqueue_repairs(int dead);
+  /// Execute hook of both copy queues (DESIGN.md "Copy-and-publish"): a
+  /// no-op when the published placement already holds the target; else
+  /// adopts fresh storage on the target, pulls the subfile from the best
+  /// current replica (chunk_bytes per pull, 0 = one unbounded pull) under
+  /// the repair_retry delivery budget, publishes entry.new_replicas, closes
+  /// the foreground-write gap with catch-up syncs, and persists. Runs on a
+  /// queue worker thread.
+  bool copy_and_publish(const CopyEntry& entry, std::int64_t chunk_bytes,
+                        CopyStats* stats);
+  /// Shared convergence loop of await_repairs / await_rebalance: awaits
+  /// `queue` idle, then up to kConvergeRounds times lets `replan` plan from
+  /// current placement and enqueue (false: nothing left to plan) and awaits
+  /// idle again. Bounded so persistently failing copies cannot livelock.
+  void await_converged(CopyQueue& queue, const std::function<bool()>& replan);
   bool is_crashed(std::size_t io_index) const PFM_EXCLUDES(crash_mu_);
   /// Node is unusable as a data source or fan-out target: crashed,
   /// declared dead by the detector, or not serving (spare/retired). A
@@ -409,8 +418,8 @@ class Clusterfile {
   /// Distinct storage slot per repaired or migrated copy, so a new copy's
   /// file never collides with a prior node's surviving one.
   std::atomic<int> repair_slot_{0};
-  std::unique_ptr<RepairScheduler> repairer_;  ///< before detector_: the
-                                               ///< detector enqueues into it
+  std::unique_ptr<CopyQueue> repairer_;  ///< before detector_: the
+                                         ///< detector enqueues into it
   /// Membership state. Leaf lock: nothing else is acquired under it.
   mutable Mutex member_mu_{"Clusterfile::member_mu"};
   std::vector<IoNodeState> node_state_ PFM_GUARDED_BY(member_mu_);
@@ -419,7 +428,7 @@ class Clusterfile {
   /// rebalance is pending (await_rebalance re-plans against it).
   std::vector<std::vector<int>> rebalance_target_ PFM_GUARDED_BY(member_mu_);
   std::atomic<std::int64_t> ring_epoch_{0};
-  std::unique_ptr<Rebalancer> rebalancer_;  ///< only with ring_placement
+  std::unique_ptr<CopyQueue> rebalancer_;  ///< only with ring_placement
   std::unique_ptr<FailureDetector> detector_;
   /// Durable metadata store (journal attached iff metadata_dir is set).
   /// meta_mu_ serialises the persisting callers (repair/migration workers

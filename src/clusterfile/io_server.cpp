@@ -231,7 +231,13 @@ void IoServer::handle(Message&& msg) {
                  to_string(msg.kind));
     }
   } catch (const ProtocolError& e) {
-    PFM_ERROR("IoServer ", node_id_, ": ", e.what());
+    // kUnknownView and kBadChecksum are routine and recoverable: the client
+    // re-installs or resends, and both sides count it (view_reinstalls,
+    // errors_sent). They risk no data, so they stay below ERROR.
+    const bool recoverable = e.code() == ErrCode::kUnknownView ||
+                             e.code() == ErrCode::kBadChecksum;
+    PFM_LOG(recoverable ? LogLevel::kDebug : LogLevel::kError, "IoServer ",
+            node_id_, ": ", e.what());
     reply_error(msg, e.code(), e.what());
   } catch (const StorageCorruptionError& e) {
     // At-rest corruption (torn write, bit rot) caught by the integrity

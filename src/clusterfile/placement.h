@@ -48,7 +48,7 @@ class PlacementDirectory {
       PFM_EXCLUDES(mu_);
 
   /// Replaces one subfile's replica list (primary first, non-empty) and
-  /// bumps the placement epoch. Called by the repair scheduler only.
+  /// bumps the placement epoch. Called by the copy-and-publish path only.
   void update(std::size_t subfile, std::vector<int> replicas)
       PFM_EXCLUDES(mu_);
 

@@ -100,7 +100,7 @@ RebalancePlan plan_rebalance(const std::vector<std::vector<int>>& current,
     // placement is exactly the target (ring order and all).
     std::vector<int> running = cur;
     for (std::size_t j = 0; j < added.size(); ++j) {
-      MigrationEntry e;
+      CopyEntry e;
       e.subfile = static_cast<int>(i);
       e.target_node = added[j];
       if (j < removed.size()) {
@@ -132,47 +132,48 @@ bool RebalanceCounters::all_zero() const {
          migrations_failed == 0 && bytes_migrated == 0 && bytes_caught_up == 0;
 }
 
-Rebalancer::Rebalancer(Execute execute, int max_concurrent)
+CopyQueue::CopyQueue(Execute execute, int max_concurrent)
     : execute_(std::move(execute)) {
-  if (!execute_) throw std::invalid_argument("Rebalancer: null execute hook");
+  if (!execute_) throw std::invalid_argument("CopyQueue: null execute hook");
   if (max_concurrent < 1)
-    throw std::invalid_argument("Rebalancer: need at least one worker");
+    throw std::invalid_argument("CopyQueue: need at least one worker");
   workers_.reserve(static_cast<std::size_t>(max_concurrent));
   for (int i = 0; i < max_concurrent; ++i)
     workers_.emplace_back([this] { worker(); });
 }
 
-Rebalancer::~Rebalancer() { stop(); }
+CopyQueue::~CopyQueue() { stop(); }
 
-void Rebalancer::enqueue(std::vector<MigrationEntry> entries) {
+void CopyQueue::enqueue(std::vector<CopyEntry> entries) {
   if (entries.empty()) return;
   {
     MutexLock lock(mu_);
     if (stopping_) {
+      // Late plans during teardown: count, don't lose silently.
       counters_.migrations_failed += static_cast<std::int64_t>(entries.size());
       return;
     }
-    for (MigrationEntry& e : entries) queue_.push_back(std::move(e));
+    for (CopyEntry& e : entries) queue_.push_back(std::move(e));
   }
   work_cv_.notify_all();
 }
 
-void Rebalancer::await_idle() {
+void CopyQueue::await_idle() {
   MutexLock lock(mu_);
   while (!queue_.empty() || executing_ > 0) idle_cv_.wait(lock);
 }
 
-std::size_t Rebalancer::pending() const {
+std::size_t CopyQueue::pending() const {
   MutexLock lock(mu_);
   return queue_.size() + static_cast<std::size_t>(executing_);
 }
 
-RebalanceCounters Rebalancer::counters() const {
+RebalanceCounters CopyQueue::counters() const {
   MutexLock lock(mu_);
   return counters_;
 }
 
-void Rebalancer::stop() {
+void CopyQueue::stop() {
   {
     MutexLock lock(mu_);
     if (!stopping_) {
@@ -187,9 +188,9 @@ void Rebalancer::stop() {
     if (t.joinable()) t.join();
 }
 
-void Rebalancer::worker() {
+void CopyQueue::worker() {
   while (true) {
-    MigrationEntry entry;
+    CopyEntry entry;
     {
       MutexLock lock(mu_);
       while (queue_.empty() && !stopping_) work_cv_.wait(lock);
@@ -199,12 +200,12 @@ void Rebalancer::worker() {
       ++executing_;
       ++counters_.migrations_started;
     }
-    ExecStats stats;
+    CopyStats stats;
     bool ok = false;
     try {
       ok = execute_(entry, &stats);
     } catch (const std::exception& e) {
-      PFM_ERROR("rebalance: subfile ", entry.subfile, " -> node ",
+      PFM_ERROR("copy: subfile ", entry.subfile, " -> node ",
                 entry.target_node, " threw: ", e.what());
     }
     {

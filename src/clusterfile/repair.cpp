@@ -1,13 +1,12 @@
 #include "clusterfile/repair.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "util/log.h"
 
 namespace pfm {
 
-std::vector<RepairPlanEntry> plan_repairs(
+std::vector<CopyEntry> plan_repairs(
     const std::vector<std::vector<int>>& placement, int dead_node,
     int compute_nodes, int io_nodes,
     const std::function<bool(int)>& node_dead) {
@@ -21,7 +20,7 @@ std::vector<RepairPlanEntry> plan_repairs(
       const int k = node - compute_nodes;
       if (k >= 0 && k < io_nodes) ++load[static_cast<std::size_t>(k)];
     }
-  std::vector<RepairPlanEntry> plan;
+  std::vector<CopyEntry> plan;
   for (std::size_t i = 0; i < placement.size(); ++i) {
     const std::vector<int>& reps = placement[i];
     if (std::find(reps.begin(), reps.end(), dead_node) == reps.end()) continue;
@@ -45,107 +44,16 @@ std::vector<RepairPlanEntry> plan_repairs(
                " (dead node ", dead_node, ")");
       continue;
     }
-    RepairPlanEntry e;
+    CopyEntry e;
     e.subfile = static_cast<int>(i);
-    e.dead_node = dead_node;
-    e.replacement_node = replacement;
+    e.target_node = replacement;
+    e.retired_node = dead_node;
     for (const int node : reps)
       if (node != dead_node) e.new_replicas.push_back(node);
     e.new_replicas.push_back(replacement);
     plan.push_back(std::move(e));
   }
   return plan;
-}
-
-RepairScheduler::RepairScheduler(Execute execute, int max_concurrent)
-    : execute_(std::move(execute)) {
-  if (!execute_)
-    throw std::invalid_argument("RepairScheduler: null execute hook");
-  if (max_concurrent < 1)
-    throw std::invalid_argument("RepairScheduler: need at least one worker");
-  workers_.reserve(static_cast<std::size_t>(max_concurrent));
-  for (int i = 0; i < max_concurrent; ++i)
-    workers_.emplace_back([this] { worker(); });
-}
-
-RepairScheduler::~RepairScheduler() { stop(); }
-
-void RepairScheduler::enqueue(std::vector<RepairPlanEntry> entries) {
-  if (entries.empty()) return;
-  {
-    MutexLock lock(mu_);
-    if (stopping_) {
-      // Late declarations during teardown: count, don't lose silently.
-      counters_.repairs_failed += static_cast<std::int64_t>(entries.size());
-      return;
-    }
-    for (RepairPlanEntry& e : entries) queue_.push_back(std::move(e));
-  }
-  work_cv_.notify_all();
-}
-
-void RepairScheduler::await_idle() {
-  MutexLock lock(mu_);
-  while (!queue_.empty() || executing_ > 0) idle_cv_.wait(lock);
-}
-
-std::size_t RepairScheduler::pending() const {
-  MutexLock lock(mu_);
-  return queue_.size() + static_cast<std::size_t>(executing_);
-}
-
-ReliabilityCounters RepairScheduler::counters() const {
-  MutexLock lock(mu_);
-  return counters_;
-}
-
-void RepairScheduler::stop() {
-  {
-    MutexLock lock(mu_);
-    if (!stopping_) {
-      stopping_ = true;
-      counters_.repairs_failed += static_cast<std::int64_t>(queue_.size());
-      queue_.clear();
-    }
-  }
-  work_cv_.notify_all();
-  idle_cv_.notify_all();
-  for (std::thread& t : workers_)
-    if (t.joinable()) t.join();
-}
-
-void RepairScheduler::worker() {
-  while (true) {
-    RepairPlanEntry entry;
-    {
-      MutexLock lock(mu_);
-      while (queue_.empty() && !stopping_) work_cv_.wait(lock);
-      if (stopping_ && queue_.empty()) return;
-      entry = std::move(queue_.front());
-      queue_.pop_front();
-      ++executing_;
-      ++counters_.repairs_started;
-    }
-    std::int64_t bytes = 0;
-    bool ok = false;
-    try {
-      ok = execute_(entry, &bytes);
-    } catch (const std::exception& e) {
-      PFM_ERROR("repair: subfile ", entry.subfile, " -> node ",
-                entry.replacement_node, " threw: ", e.what());
-    }
-    {
-      MutexLock lock(mu_);
-      --executing_;
-      if (ok) {
-        ++counters_.repairs_completed;
-        counters_.bytes_re_replicated += bytes;
-      } else {
-        ++counters_.repairs_failed;
-      }
-    }
-    idle_cv_.notify_all();
-  }
 }
 
 }  // namespace pfm

@@ -1,4 +1,4 @@
-// Repair planner and scheduler (DESIGN.md "Self-healing").
+// Repair planner (DESIGN.md "Self-healing").
 //
 // When the failure detector declares an I/O node dead, every subfile it
 // hosted is under-replicated. The planner computes, per such subfile, a
@@ -6,40 +6,20 @@
 // node not already holding the subfile is chosen (load = replicas it holds
 // in the given placement plus those this plan already assigned to it; ties
 // break to the lowest node id, so plans are reproducible under a pinned
-// seed), and the copy source is the surviving replica with the highest
-// write epoch — the same authority rule scrub uses. The copy itself is the paper's redistribution
-// algebra in its degenerate case: the transfer set is INTERSECT of the
-// subfile's FALLS with itself (the whole subfile), so the plan is a single
-// full-range PROJ executed over the existing epoch re-sync transfer path
+// seed). The copy itself is the paper's redistribution algebra in its
+// degenerate case: the transfer set is INTERSECT of the subfile's FALLS
+// with itself (the whole subfile), so a repair is a CopyEntry like any
+// migration and runs through the same copy-and-publish path — one
+// unchunked full-range pull over the epoch re-sync transfer path
 // (kSyncRequest/kSyncReply), fault injection live.
-//
-// The scheduler bounds concurrent repair traffic with a fixed worker pool,
-// charges each subfile repair one shared delivery budget (the summed
-// RetryPolicy backoff schedule, as PR 6 gave client accesses), and
-// accounts repairs_started/completed/failed/bytes_re_replicated.
 #pragma once
 
-#include <cstdint>
-#include <deque>
 #include <functional>
-#include <thread>
 #include <vector>
 
-#include "util/mutex.h"
-#include "util/stats.h"
-#include "util/thread_annotations.h"
+#include "clusterfile/rebalance.h"
 
 namespace pfm {
-
-/// One subfile's re-replication assignment.
-struct RepairPlanEntry {
-  int subfile = 0;
-  int dead_node = -1;         ///< the node whose copy was lost
-  int replacement_node = -1;  ///< surviving node receiving the new copy
-  std::vector<int> new_replicas;  ///< placement after the repair, primary
-                                  ///< first (dead dropped, replacement
-                                  ///< appended)
-};
 
 /// Computes replacement placements for every subfile whose current
 /// placement includes `dead_node`. `placement` is the full replica table
@@ -53,60 +33,11 @@ struct RepairPlanEntry {
 /// placement and earlier assignments of this same plan, so one dead node's
 /// subfiles spread over the survivors deterministically. Subfiles with no
 /// usable replacement candidate are skipped — they stay under-replicated
-/// until a node returns.
-std::vector<RepairPlanEntry> plan_repairs(
+/// until a node returns. Each entry's retired_node is `dead_node`; its
+/// new_replicas drop the dead node and append the replacement.
+std::vector<CopyEntry> plan_repairs(
     const std::vector<std::vector<int>>& placement, int dead_node,
     int compute_nodes, int io_nodes,
     const std::function<bool(int)>& node_dead);
-
-/// Executes repair plans on a bounded worker pool. The scheduler owns no
-/// cluster state: planning and execution are injected, so it can be unit
-/// tested and reused. Workers never touch each other's entries; a failed
-/// execution is terminal for that entry (counted, not re-queued — the next
-/// dead declaration re-plans from current placement).
-class RepairScheduler {
- public:
-  /// `execute` re-replicates one subfile, returns success and the payload
-  /// bytes it copied. It runs on a worker thread, bounded by
-  /// `max_concurrent` workers.
-  using Execute = std::function<bool(const RepairPlanEntry&, std::int64_t*)>;
-
-  RepairScheduler(Execute execute, int max_concurrent);
-  ~RepairScheduler();
-
-  RepairScheduler(const RepairScheduler&) = delete;
-  RepairScheduler& operator=(const RepairScheduler&) = delete;
-
-  /// Enqueues repair work; callable from the detector callback thread.
-  void enqueue(std::vector<RepairPlanEntry> entries) PFM_EXCLUDES(mu_);
-
-  /// Blocks until the queue is empty and every worker is idle. Bounded:
-  /// each entry's execution is bounded by its delivery budget.
-  void await_idle() PFM_EXCLUDES(mu_);
-
-  /// Entries queued or executing right now.
-  std::size_t pending() const PFM_EXCLUDES(mu_);
-
-  /// repairs_started/completed/failed and bytes_re_replicated (the other
-  /// fields stay zero).
-  ReliabilityCounters counters() const PFM_EXCLUDES(mu_);
-
-  /// Stops the workers after the current entries finish; idempotent.
-  /// Queued-but-unstarted entries are abandoned (counted as failed).
-  void stop() PFM_EXCLUDES(mu_);
-
- private:
-  void worker();
-
-  Execute execute_;
-  mutable Mutex mu_{"RepairScheduler::mu"};
-  CondVar work_cv_;  ///< signaled on enqueue and stop
-  CondVar idle_cv_;  ///< signaled when a worker finishes an entry
-  std::deque<RepairPlanEntry> queue_ PFM_GUARDED_BY(mu_);
-  int executing_ PFM_GUARDED_BY(mu_) = 0;
-  bool stopping_ PFM_GUARDED_BY(mu_) = false;
-  ReliabilityCounters counters_ PFM_GUARDED_BY(mu_);
-  std::vector<std::thread> workers_;  ///< immutable after construction
-};
 
 }  // namespace pfm
