@@ -17,8 +17,8 @@
 // from the one moment a replica is legitimately behind.
 //
 // Emits BENCH_chaos_soak.json. PFM_FAULT_SEED picks the injector and
-// schedule seed; PFM_BENCH_QUICK=1 trims the iteration count; the
-// PFM_HEARTBEAT_* knobs tune the detector as everywhere else.
+// schedule seed; PFM_BENCH_QUICK=1 trims the iteration count. The
+// detector's thresholds are set in ClusterConfig::heartbeat below.
 #include <cstdio>
 #include <cstdlib>
 #include <vector>

@@ -4,10 +4,9 @@
 // grow with its migrations, a second write round, a final sync — and a
 // fault-free dry run counts the workload's metadata durability barriers
 // (journal fsyncs, checkpoint file/dir fsyncs, journal truncations). The
-// kill matrix then replays the workload once per barrier, arming
-// PFM_CRASH_AFTER_SYNCS-style kills (arm_crash_after_syncs) so the n-th
-// barrier throws SimulatedCrash and freezes the metadata layer exactly as a
-// SIGKILL at that fsync would.
+// kill matrix then replays the workload once per barrier, arming a kill
+// with arm_crash_after_syncs so the n-th barrier throws SimulatedCrash and
+// freezes the metadata layer exactly as a SIGKILL at that fsync would.
 //
 // After every kill: remount the same directories and hard-gate
 //   - the mount succeeds and recovers the file record,

@@ -1,26 +1,18 @@
 #include "cluster/failure_detector.h"
 
 #include <chrono>
-#include <cstdlib>
 #include <string>
 
-#include "util/arith.h"
 #include "util/log.h"
 
 namespace pfm {
 
 namespace {
 
-int env_int(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  if (!v || !*v) return fallback;
-  try {
-    const std::int64_t n = parse_i64(v);
-    if (n < 1 || n > 1'000'000) return fallback;
-    return static_cast<int>(n);
-  } catch (const std::invalid_argument&) {
-    return fallback;
-  }
+/// A round's pong wait cannot outlast the round itself.
+FailureDetector::Options clamp_timeout(FailureDetector::Options o) {
+  if (o.timeout_ms > o.interval_ms) o.timeout_ms = o.interval_ms;
+  return o;
 }
 
 }  // namespace
@@ -34,25 +26,12 @@ const char* to_string(NodeHealth h) {
   return "?";
 }
 
-FailureDetector::Options FailureDetector::Options::from_env() {
-  return from_env(Options{});
-}
-
-FailureDetector::Options FailureDetector::Options::from_env(Options defaults) {
-  Options o = defaults;
-  o.interval_ms = env_int("PFM_HEARTBEAT_INTERVAL_MS", o.interval_ms);
-  o.timeout_ms = env_int("PFM_HEARTBEAT_TIMEOUT_MS", o.timeout_ms);
-  o.suspect_n = env_int("PFM_HEARTBEAT_SUSPECT_N", o.suspect_n);
-  if (o.timeout_ms > o.interval_ms) o.timeout_ms = o.interval_ms;
-  return o;
-}
-
 FailureDetector::FailureDetector(Network& net, int self,
                                  std::vector<int> monitored, Options opts,
                                  Callback on_dead, Callback on_alive)
     : net_(net),
       self_(self),
-      opts_(opts),
+      opts_(clamp_timeout(opts)),
       on_dead_(std::move(on_dead)),
       on_alive_(std::move(on_alive)) {
   {

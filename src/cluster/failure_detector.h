@@ -48,11 +48,6 @@ class FailureDetector {
     int interval_ms = 20;  ///< probe period
     int timeout_ms = 10;   ///< pong wait per round before counting a miss
     int suspect_n = 3;     ///< consecutive misses before declaring dead
-
-    /// Overrides from PFM_HEARTBEAT_{INTERVAL_MS,TIMEOUT_MS,SUSPECT_N}
-    /// applied on top of the given defaults; malformed values are ignored.
-    static Options from_env(Options defaults);
-    static Options from_env();
   };
 
   /// Called on declaration edges, from the detector thread (auto) or the
@@ -61,6 +56,7 @@ class FailureDetector {
 
   /// Probes `monitored` endpoints from the dedicated endpoint `self`.
   /// The thread starts immediately; stop() (or destruction) ends it.
+  /// `opts.timeout_ms` is clamped to `opts.interval_ms`.
   FailureDetector(Network& net, int self, std::vector<int> monitored,
                   Options opts, Callback on_dead = {}, Callback on_alive = {});
   ~FailureDetector();

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "clusterfile/journal.h"
 #include "clusterfile/recover.h"
-#include "util/arith.h"
 #include "util/check.h"
 #include "util/log.h"
 #include "util/timer.h"
@@ -23,18 +21,10 @@ constexpr int kConvergeRounds = 4;
 /// Post-publish catch-up syncs per copy; each stops at the first sync that
 /// moves 0 bytes.
 constexpr int kCatchUpSyncs = 5;
-
-std::int64_t env_i64(const char* name, std::int64_t fallback) {
-  const char* v = std::getenv(name);
-  if (!v || !*v) return fallback;
-  try {
-    const std::int64_t n = parse_i64(v);
-    if (n < 1 || n > 1'000'000'000) return fallback;
-    return n;
-  } catch (const std::invalid_argument&) {
-    return fallback;
-  }
-}
+/// Workers per copy queue (repairs and migrations each get their own).
+constexpr int kCopyWorkers = 2;
+/// Deadline for decommission_node's drain.
+constexpr std::chrono::milliseconds kDrainTimeout{30'000};
 
 }  // namespace
 
@@ -52,39 +42,20 @@ Clusterfile::Clusterfile(ClusterConfig config, PartitioningPattern physical)
     throw std::invalid_argument(
         "Clusterfile: self_heal needs replication > 1 (a lone copy has no "
         "surviving source to repair from)");
-  if (config_.max_concurrent_repairs < 1)
-    throw std::invalid_argument(
-        "Clusterfile: max_concurrent_repairs must be >= 1");
-  if (config_.max_concurrent_migrations < 1)
-    throw std::invalid_argument(
-        "Clusterfile: max_concurrent_migrations must be >= 1");
-  // Elastic-membership knobs: environment defaults resolved once so every
-  // later decision sees one consistent value.
   if (config_.max_io_nodes == 0) config_.max_io_nodes = config_.io_nodes;
   if (config_.max_io_nodes < config_.io_nodes)
     throw std::invalid_argument(
         "Clusterfile: max_io_nodes must be >= io_nodes");
-  if (config_.ring_vnodes == 0)
-    config_.ring_vnodes = static_cast<int>(env_i64("PFM_RING_VNODES", 64));
-  if (config_.ring_vnodes < 1)
-    throw std::invalid_argument("Clusterfile: ring_vnodes must be >= 1");
-  if (config_.rebalance_chunk == 0)
-    config_.rebalance_chunk = env_i64("PFM_REBALANCE_CHUNK", 256 * 1024);
   if (config_.rebalance_chunk < 1)
     throw std::invalid_argument("Clusterfile: rebalance_chunk must be >= 1");
-  if (config_.drain_timeout_ms == 0)
-    config_.drain_timeout_ms =
-        static_cast<int>(env_i64("PFM_DRAIN_TIMEOUT_MS", 30'000));
-  if (config_.drain_timeout_ms < 1)
-    throw std::invalid_argument("Clusterfile: drain_timeout_ms must be >= 1");
-  if (!config_.storage_faults) config_.storage_faults = storage_fault_plan_from_env();
+  if (config_.integrity_block < 0)
+    throw std::invalid_argument("Clusterfile: integrity_block must be >= 0");
   // Integrity checking turns on automatically exactly when something can
   // damage stored bytes (replication implies scrub, faults imply damage);
   // plain single-copy runs keep the PR-3 fast path with no CRC work.
   if (config_.integrity_block > 0) {
     integrity_block_ = config_.integrity_block;
-  } else if (config_.integrity_block == 0 &&
-             (config_.replication > 1 || config_.storage_faults)) {
+  } else if (config_.replication > 1 || config_.storage_faults) {
     integrity_block_ = IntegrityStorage::kDefaultBlock;
   }
   meta_.physical =
@@ -96,7 +67,7 @@ Clusterfile::Clusterfile(ClusterConfig config, PartitioningPattern physical)
   // past the node ids: the failure detector's dedicated inbox (allocated
   // unconditionally so node ids are config-independent).
   net_ = std::make_unique<Network>(
-      config_.compute_nodes + config_.max_io_nodes + 1, config_.net);
+      config_.compute_nodes + config_.max_io_nodes + 1);
   if (config_.overlap) {
     if (config_.io_nodes > config_.compute_nodes)
       throw std::invalid_argument(
@@ -120,10 +91,6 @@ Clusterfile::Clusterfile(ClusterConfig config, PartitioningPattern physical)
                        IoNodeState::kSpare);
     for (int i = 0; i < config_.io_nodes; ++i)
       node_state_[static_cast<std::size_t>(i)] = IoNodeState::kActive;
-    PlacementRing::Options ropts;
-    ropts.vnodes = config_.ring_vnodes;
-    if (config_.ring_seed != 0) ropts.seed = config_.ring_seed;
-    ring_ = PlacementRing(ropts);
     for (int i = 0; i < config_.io_nodes; ++i)
       ring_.add_node(config_.compute_nodes + i);
   }
@@ -178,8 +145,7 @@ Clusterfile::Clusterfile(ClusterConfig config, PartitioningPattern physical)
     FileRecord rec;
     {
       MutexLock lock(meta_mu_);
-      const RecoveryInfo info = meta_store_.open_durable(
-          config_.metadata_dir, config_.checkpoint_interval);
+      const RecoveryInfo info = meta_store_.open_durable(config_.metadata_dir);
       mount_report_.manifest_loaded = info.manifest_loaded;
       mount_report_.journal_records = info.journal_records;
       mount_report_.journal_torn_tail = info.journal_torn_tail;
@@ -326,7 +292,7 @@ Clusterfile::Clusterfile(ClusterConfig config, PartitioningPattern physical)
         [this](const CopyEntry& e, CopyStats* stats) {
           return copy_and_publish(e, config_.rebalance_chunk, stats);
         },
-        config_.max_concurrent_migrations);
+        kCopyWorkers);
 
   if (config_.self_heal) {
     // Queue before detector: the detector's on_dead callback enqueues into
@@ -335,14 +301,14 @@ Clusterfile::Clusterfile(ClusterConfig config, PartitioningPattern physical)
         [this](const CopyEntry& e, CopyStats* stats) {
           return copy_and_publish(e, /*chunk_bytes=*/0, stats);
         },
-        config_.max_concurrent_repairs);
+        kCopyWorkers);
     std::vector<int> monitored;
     for (int i = 0; i < config_.io_nodes; ++i)
       monitored.push_back(config_.compute_nodes + i);
     detector_ = std::make_unique<FailureDetector>(
         *net_, config_.compute_nodes + config_.max_io_nodes,
         std::move(monitored),
-        FailureDetector::Options::from_env(config_.heartbeat),
+        config_.heartbeat,
         /*on_dead=*/[this](int node) { on_node_dead(node); },
         /*on_alive=*/FailureDetector::Callback{});
   }
@@ -840,9 +806,7 @@ void Clusterfile::decommission_node(std::size_t io_index) {
     ring_.remove_node(node);
   }
   ring_epoch_.fetch_add(1, std::memory_order_acq_rel);
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(config_.drain_timeout_ms);
+  const auto deadline = std::chrono::steady_clock::now() + kDrainTimeout;
   while (true) {
     // Each round re-plans from *current* placement, so a migration that
     // failed last round (crashed source, exhausted budget) is retried with

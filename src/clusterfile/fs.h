@@ -29,7 +29,6 @@ namespace pfm {
 struct ClusterConfig {
   int compute_nodes = 4;
   int io_nodes = 4;
-  NetParams net{};
   /// Empty: in-memory subfiles (buffer cache); otherwise a directory for
   /// real subfile files (disk).
   std::filesystem::path storage_dir{};
@@ -51,13 +50,12 @@ struct ClusterConfig {
   /// any replica the straggler path abandons (DESIGN.md).
   int write_quorum = 0;
   /// Storage-level fault plan applied to every subfile replica (torn
-  /// writes, bit rot, EIO, sticky-dead). Unset: the PFM_STORAGE_FAULT_*
-  /// environment knobs apply, if any (storage_fault.h).
+  /// writes, bit rot, EIO, sticky-dead; storage_fault.h). Unset: no faults.
   std::optional<StorageFaultPlan> storage_faults{};
   /// Block size for the per-block CRC integrity layer over each replica.
   /// 0 (default) = automatic: IntegrityStorage::kDefaultBlock whenever
   /// replication > 1 or storage faults are configured, off otherwise.
-  /// -1 = force off; > 0 = explicit block size.
+  /// > 0 = explicit block size; negative values are rejected.
   std::int64_t integrity_block = 0;
   /// Self-healing (DESIGN.md "Self-healing"): run a heartbeat failure
   /// detector over the I/O nodes and, when one is declared dead,
@@ -65,11 +63,8 @@ struct ClusterConfig {
   /// repair queue, then republish the placement so clients re-aim.
   /// Requires replication > 1.
   bool self_heal = false;
-  /// Heartbeat thresholds; the PFM_HEARTBEAT_{INTERVAL_MS,TIMEOUT_MS,
-  /// SUSPECT_N} environment knobs override these defaults.
+  /// Heartbeat thresholds of the failure detector.
   FailureDetector::Options heartbeat{};
-  /// Worker bound on concurrent subfile re-replications.
-  int max_concurrent_repairs = 2;
   /// Delivery budget of one subfile repair or migration: per-attempt sync
   /// timeouts follow this backoff schedule, and the summed schedule is the
   /// copy's hard deadline across every source it tries (the shared
@@ -81,28 +76,16 @@ struct ClusterConfig {
   /// decommission_node — elastic moves need a placement that is a pure
   /// function of the membership.
   bool ring_placement = false;
-  /// Virtual ring points per unit of node weight. 0 = the PFM_RING_VNODES
-  /// environment knob, or the PlacementRing default (64).
-  int ring_vnodes = 0;
-  /// Ring hash seed; 0 keeps the PlacementRing default. Placements are a
-  /// pure function of (seed, membership, weights), so a pinned seed makes
-  /// every rebalance plan reproducible.
-  std::uint64_t ring_seed = 0;
   /// Provisioned I/O-node capacity: network endpoints exist for this many
   /// I/O slots so add_io_node can activate spares at runtime (the
   /// in-process Network is fixed-size at construction, as a rack is).
   /// 0 = io_nodes (no headroom). Must be >= io_nodes.
   int max_io_nodes = 0;
-  /// Byte limit per bulk-migration sync pull. 0 = the PFM_REBALANCE_CHUNK
-  /// environment knob, or 256 KiB. Chunking bounds how long one migration
-  /// pull occupies the source's loop thread, keeping foreground latency
-  /// flat while a rebalance runs, and makes migrations resumable.
-  std::int64_t rebalance_chunk = 0;
-  /// Deadline for decommission_node's drain, in milliseconds. 0 = the
-  /// PFM_DRAIN_TIMEOUT_MS environment knob, or 30000.
-  int drain_timeout_ms = 0;
-  /// Worker bound on concurrent subfile migrations.
-  int max_concurrent_migrations = 2;
+  /// Byte limit per bulk-migration sync pull (>= 1). Chunking bounds how
+  /// long one migration pull occupies the source's loop thread, keeping
+  /// foreground latency flat while a rebalance runs, and makes migrations
+  /// resumable.
+  std::int64_t rebalance_chunk = 256 * 1024;
   /// Crash-consistent metadata (DESIGN.md "Durability & recovery"): a
   /// directory holding the checkpoint manifest plus the mutation journal.
   /// Non-empty = durable mount: construction replays checkpoint+journal,
@@ -111,9 +94,6 @@ struct ClusterConfig {
   /// mutation thereafter is journaled with fsync-before-apply. Empty
   /// (default) = ephemeral metadata, exactly as before.
   std::filesystem::path metadata_dir{};
-  /// Journal records between automatic checkpoints on the durable path.
-  /// 0 = the PFM_CHECKPOINT_INTERVAL environment knob, or 32.
-  int checkpoint_interval = 0;
 };
 
 /// What restart_server's re-sync pulled from the surviving replicas.
@@ -274,9 +254,9 @@ class Clusterfile {
   /// published atomically via the placement epoch bump. When the last copy
   /// is off, the node retires: unmonitored, server stopped. A node that
   /// dies mid-drain is handed to the self-heal repair path instead
-  /// (re-replication from the surviving replicas). Bounded by
-  /// drain_timeout_ms; throws std::runtime_error when the drain misses the
-  /// deadline, leaving the node draining (call again or remove_node).
+  /// (re-replication from the surviving replicas). Bounded by a 30 s
+  /// deadline; throws std::runtime_error when the drain misses it, leaving
+  /// the node draining (call again or remove_node).
   void decommission_node(std::size_t io_index);
 
   /// Crash-style removal: the node leaves the ring, is crashed, and is

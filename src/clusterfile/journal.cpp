@@ -5,7 +5,6 @@
 
 #include <atomic>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iterator>
@@ -27,16 +26,15 @@ namespace {
 // --- Crash-point harness state -------------------------------------------
 //
 // One process-wide countdown over durability barriers, armed by
-// arm_crash_after_syncs or PFM_CRASH_AFTER_SYNCS. `frozen` latches at the
-// trip: every later durable metadata write no-ops, exactly as the disk of a
-// killed process stops changing. Plain atomics: barriers happen on the
-// mutating thread and on repair/migration workers, and the counters only
-// ever move one way between arms.
+// arm_crash_after_syncs. `frozen` latches at the trip: every later durable
+// metadata write no-ops, exactly as the disk of a killed process stops
+// changing. Plain atomics: barriers happen on the mutating thread and on
+// repair/migration workers, and the counters only ever move one way
+// between arms.
 
 std::atomic<std::int64_t> g_barriers{0};       // completed, monotonic
 std::atomic<std::int64_t> g_countdown{-1};     // <0 disarmed
 std::atomic<bool> g_frozen{false};
-std::atomic<bool> g_env_checked{false};
 
 // Torn-metadata-write injection. The RNG needs a lock — metadata writes are
 // serialized by the callers' own locks in practice, but fsck/tests may race
@@ -45,25 +43,8 @@ Mutex g_fault_mu{"journal::fault_mu"};
 std::optional<MetadataFaultPlan> g_fault_plan;
 std::optional<Rng> g_fault_rng;
 
-void check_env_knob() {
-  if (g_env_checked.exchange(true, std::memory_order_acq_rel)) return;
-  if (const char* v = std::getenv("PFM_CRASH_AFTER_SYNCS"); v && *v) {
-    const std::int64_t n = std::strtoll(v, nullptr, 10);
-    if (n > 0 && g_countdown.load(std::memory_order_acquire) < 0)
-      g_countdown.store(n, std::memory_order_release);
-  }
-  if (const char* v = std::getenv("PFM_META_FAULT_TORN"); v && *v) {
-    MetadataFaultPlan plan;
-    plan.torn_write = std::strtod(v, nullptr);
-    if (const char* s = std::getenv("PFM_META_FAULT_SEED"); s && *s)
-      plan.seed = std::strtoull(s, nullptr, 10);
-    if (plan.torn_write > 0.0) arm_metadata_faults(plan);
-  }
-}
-
 /// True when the frozen layer must drop this durable write.
 bool metadata_frozen() {
-  check_env_knob();
   return g_frozen.load(std::memory_order_acquire);
 }
 
@@ -88,7 +69,6 @@ void durability_barrier(const char* what) {
 /// Returns the number of bytes to persist before freezing, or -1 when the
 /// write should proceed untorn.
 std::int64_t torn_prefix(std::int64_t total) {
-  check_env_knob();
   MutexLock lock(g_fault_mu);
   if (!g_fault_plan || total <= 0) return -1;
   if (!g_fault_rng) g_fault_rng.emplace(g_fault_plan->seed);
@@ -129,7 +109,6 @@ void fsync_parent_dir(const std::filesystem::path& path) {
 }  // namespace
 
 void arm_crash_after_syncs(std::int64_t n) {
-  g_env_checked.store(true, std::memory_order_release);
   g_frozen.store(false, std::memory_order_release);
   g_countdown.store(n > 0 ? n : -1, std::memory_order_release);
 }

@@ -11,8 +11,8 @@
 // from the first bad frame on is discarded as the torn tail (pfm_fsck
 // reports how many bytes that dropped).
 //
-// This header is also the home of the crash-point harness: a
-// PFM_CRASH_AFTER_SYNCS countdown over *durability barriers* (journal
+// This header is also the home of the crash-point harness: an
+// arm_crash_after_syncs countdown over *durability barriers* (journal
 // fsyncs, checkpoint tmp-file and directory fsyncs, journal truncations).
 // When the countdown reaches zero the barrier that completed it throws
 // SimulatedCrash and the whole metadata layer freezes — every later durable
@@ -49,8 +49,7 @@ class SimulatedCrash : public std::runtime_error {
 
 /// Arms the crash-point countdown: the n-th durability barrier from now
 /// throws SimulatedCrash and freezes the metadata layer. n <= 0 disarms and
-/// unfreezes. The PFM_CRASH_AFTER_SYNCS environment knob arms the same
-/// countdown at first use when nothing armed it programmatically.
+/// unfreezes.
 void arm_crash_after_syncs(std::int64_t n);
 /// True once the armed countdown fired (the layer is frozen).
 bool crash_tripped();
@@ -63,8 +62,7 @@ std::int64_t durability_barriers();
 /// Torn-metadata-write injection: with probability `torn_write`, a journal
 /// append or manifest write persists only a seeded strict prefix of its
 /// bytes and freezes the layer (kill mid-write). Deterministic under a
-/// pinned seed. Armed programmatically or via PFM_META_FAULT_SEED /
-/// PFM_META_FAULT_TORN.
+/// pinned seed. Armed by arm_metadata_faults.
 struct MetadataFaultPlan {
   std::uint64_t seed = 1;
   double torn_write = 0.0;  ///< probability per durable metadata write

@@ -398,11 +398,6 @@ std::unique_ptr<SubfileStorage> make_storage(const std::filesystem::path& dir,
       name += ".r" + std::to_string(replica);
     storage = std::make_unique<FileStorage>(dir / name, preserve);
   }
-  std::optional<StorageFaultPlan> env_plan;
-  if (!faults) {
-    env_plan = storage_fault_plan_from_env();
-    if (env_plan) faults = &*env_plan;
-  }
   if (faults)
     storage = std::make_unique<FaultyStorage>(std::move(storage), *faults,
                                               subfile_id, replica);

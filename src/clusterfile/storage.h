@@ -234,10 +234,9 @@ std::int64_t load_epoch_sidecar(const std::filesystem::path& sidecar);
 /// `subfile_<id>` (replica 0) / `subfile_<id>.r<replica>` scheme — so
 /// copies of one subfile sharing a directory never collide. `preserve`
 /// reopens existing bytes instead of truncating (mount path). When `faults`
-/// is non-null — or, failing that, when PFM_STORAGE_FAULT_* environment
-/// knobs request nonzero fault rates (storage_fault.h) — the backend is
-/// wrapped in a FaultyStorage driven by that plan; the fault stream's
-/// identity stays (subfile_id, replica) either way.
+/// is non-null the backend is wrapped in a FaultyStorage driven by that
+/// plan (storage_fault.h), its fault stream identified by (subfile_id,
+/// replica).
 std::unique_ptr<SubfileStorage> make_storage(
     const std::filesystem::path& dir, int subfile_id, int replica = 0,
     const StorageFaultPlan* faults = nullptr, int node = -1,

@@ -1,7 +1,6 @@
 #include "clusterfile/storage_fault.h"
 
 #include <cerrno>
-#include <cstdlib>
 #include <system_error>
 
 namespace pfm {
@@ -10,11 +9,6 @@ namespace {
 
 [[noreturn]] void throw_eio(const char* what) {
   throw std::system_error(EIO, std::generic_category(), what);
-}
-
-double env_rate(const char* name) {
-  const char* v = std::getenv(name);
-  return (v && *v) ? std::strtod(v, nullptr) : 0.0;
 }
 
 /// splitmix64-style stream derivation so every (subfile, replica) disk gets
@@ -29,23 +23,6 @@ std::uint64_t derive_seed(std::uint64_t base, int subfile, int replica) {
 }
 
 }  // namespace
-
-std::optional<StorageFaultPlan> storage_fault_plan_from_env() {
-  StorageFaultRule rule;
-  rule.torn_write = env_rate("PFM_STORAGE_FAULT_TORN");
-  rule.bit_rot = env_rate("PFM_STORAGE_FAULT_ROT");
-  rule.eio = env_rate("PFM_STORAGE_FAULT_EIO");
-  if (const char* v = std::getenv("PFM_STORAGE_FAULT_DEAD_AFTER"); v && *v)
-    rule.dead_after = std::strtoll(v, nullptr, 10);
-  if (rule.torn_write <= 0.0 && rule.bit_rot <= 0.0 && rule.eio <= 0.0 &&
-      rule.dead_after < 0)
-    return std::nullopt;
-  StorageFaultPlan plan;
-  if (const char* v = std::getenv("PFM_STORAGE_FAULT_SEED"); v && *v)
-    plan.seed = std::strtoull(v, nullptr, 10);
-  plan.rules.push_back(rule);
-  return plan;
-}
 
 FaultyStorage::FaultyStorage(std::unique_ptr<SubfileStorage> inner,
                              StorageFaultPlan plan, int subfile_id, int replica)

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,11 +43,6 @@ struct StorageFaultPlan {
   std::uint64_t seed = 1;
   std::vector<StorageFaultRule> rules;
 };
-
-/// Builds a single-rule plan from PFM_STORAGE_FAULT_{SEED,TORN,ROT,EIO,
-/// DEAD_AFTER}. Returns nullopt unless at least one fault knob asks for a
-/// nonzero rate — a pinned seed alone injects nothing.
-std::optional<StorageFaultPlan> storage_fault_plan_from_env();
 
 /// Seeded, rule-driven fault decorator over any SubfileStorage. Each
 /// instance derives its RNG stream from (plan seed, subfile, replica) so a

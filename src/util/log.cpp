@@ -11,7 +11,9 @@ namespace pfm {
 namespace {
 
 LogLevel parse_env() {
-  const char* e = std::getenv("PFM_LOG");
+  // The one environment variable the library reads: an operator's log
+  // threshold, which changes what is printed but never what the system does.
+  const char* e = std::getenv("PFM_LOG");  // pfm-lint: allow(getenv)
   if (e == nullptr) return LogLevel::kWarn;
   if (std::strcmp(e, "debug") == 0) return LogLevel::kDebug;
   if (std::strcmp(e, "info") == 0) return LogLevel::kInfo;

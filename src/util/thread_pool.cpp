@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <memory>
 #include <string>
@@ -115,14 +114,8 @@ void ThreadPool::parallel_for(std::size_t n,
 }
 
 ThreadPool& ThreadPool::shared() {
-  static ThreadPool pool([] {
-    if (const char* env = std::getenv("PFM_POOL_THREADS")) {
-      const long v = std::strtol(env, nullptr, 10);
-      if (v >= 0 && v <= 64) return static_cast<std::size_t>(v);
-    }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return static_cast<std::size_t>(std::clamp(hw, 2u, 8u));
-  }());
+  static ThreadPool pool(static_cast<std::size_t>(
+      std::clamp(std::thread::hardware_concurrency(), 2u, 8u)));
   return pool;
 }
 

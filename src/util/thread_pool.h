@@ -51,8 +51,7 @@ class ThreadPool {
       PFM_EXCLUDES(mu_);
 
   /// The process-wide pool shared by set_view, execute_redist and the
-  /// collective layer. Size: hardware_concurrency clamped to [2, 8], or
-  /// the PFM_POOL_THREADS environment variable (0 disables the workers).
+  /// collective layer. Size: hardware_concurrency clamped to [2, 8].
   static ThreadPool& shared();
 
  private:

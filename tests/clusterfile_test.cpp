@@ -3,6 +3,7 @@
 // path, and multi-client parallel writes.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <filesystem>
 
 #include "clusterfile/fs.h"
@@ -278,6 +279,59 @@ TEST(Clusterfile, RelayoutValidation) {
   EXPECT_THROW(
       fs.relayout(PartitioningPattern({elems.begin(), elems.end()}, 2), 64),
       std::invalid_argument);
+}
+
+TEST(Clusterfile, ConfigValidation) {
+  const auto reject = [](const char* what, void (*edit)(ClusterConfig&)) {
+    ClusterConfig cfg;
+    edit(cfg);
+    EXPECT_THROW(Clusterfile(cfg, pattern2d(Partition2D::kRowBlocks, 8, 4)),
+                 std::invalid_argument)
+        << what;
+  };
+  reject("compute_nodes < 1", [](ClusterConfig& c) { c.compute_nodes = 0; });
+  reject("io_nodes < 1", [](ClusterConfig& c) { c.io_nodes = 0; });
+  reject("replication < 1", [](ClusterConfig& c) { c.replication = 0; });
+  reject("replication > io_nodes",
+         [](ClusterConfig& c) { c.replication = c.io_nodes + 1; });
+  reject("write_quorum < 0", [](ClusterConfig& c) { c.write_quorum = -1; });
+  reject("write_quorum > replication", [](ClusterConfig& c) {
+    c.replication = 2;
+    c.write_quorum = 3;
+  });
+  reject("self_heal with replication 1",
+         [](ClusterConfig& c) { c.self_heal = true; });
+  reject("max_io_nodes < io_nodes",
+         [](ClusterConfig& c) { c.max_io_nodes = c.io_nodes - 1; });
+  reject("rebalance_chunk < 1",
+         [](ClusterConfig& c) { c.rebalance_chunk = 0; });
+  reject("integrity_block < 0",
+         [](ClusterConfig& c) { c.integrity_block = -1; });
+  reject("overlap with io_nodes > compute_nodes", [](ClusterConfig& c) {
+    c.overlap = true;
+    c.compute_nodes = 2;
+  });
+}
+
+TEST(Clusterfile, IgnoresEnvironment) {
+  // A stray storage-fault variable in the shell must not reach the
+  // replicas: the cluster is defined by its ClusterConfig alone.
+  ASSERT_EQ(setenv("PFM_STORAGE_FAULT_EIO", "1", 1), 0);
+  struct Unset {
+    ~Unset() { unsetenv("PFM_STORAGE_FAULT_EIO"); }
+  } unset;
+  const std::int64_t n = 8;
+  ClusterConfig cfg;
+  cfg.replication = 2;
+  Clusterfile fs(cfg, pattern2d(Partition2D::kColumnBlocks, n, 4));
+  auto& client = fs.client(0);
+  const auto views = partition2d_all(Partition2D::kRowBlocks, n, n, 1);
+  const std::int64_t vid = client.set_view(views[0], n * n);
+  const Buffer image = make_pattern_buffer(static_cast<std::size_t>(n * n), 61);
+  client.write(vid, 0, n * n - 1, image);
+  Buffer got(image.size());
+  client.read(vid, 0, n * n - 1, got);
+  EXPECT_TRUE(equal_bytes(got, image));
 }
 
 TEST(Clusterfile, MultipleSubfilesPerIoNode) {

@@ -1192,7 +1192,6 @@ ClusterConfig rebalance_config(int spares = 1) {
   // Small chunks: every subfile migration takes several pulls, so crash and
   // drop windows genuinely interleave with the bulk copy.
   cfg.rebalance_chunk = 16;
-  cfg.drain_timeout_ms = 30000;
   cfg.repair_retry = soak_policy();
   return cfg;
 }

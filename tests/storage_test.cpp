@@ -513,20 +513,5 @@ TEST(FaultyStorage, DisarmStopsProbabilisticFaults) {
   EXPECT_NO_THROW(st.write(0, data));
 }
 
-TEST(FaultyStorage, EnvPlanParsesKnobs) {
-  ASSERT_EQ(std::getenv("PFM_STORAGE_FAULT_TORN"), nullptr)
-      << "test environment already sets storage fault knobs";
-  EXPECT_FALSE(storage_fault_plan_from_env().has_value());
-  setenv("PFM_STORAGE_FAULT_TORN", "0.25", 1);
-  setenv("PFM_STORAGE_FAULT_SEED", "99", 1);
-  const auto plan = storage_fault_plan_from_env();
-  unsetenv("PFM_STORAGE_FAULT_TORN");
-  unsetenv("PFM_STORAGE_FAULT_SEED");
-  ASSERT_TRUE(plan.has_value());
-  EXPECT_EQ(plan->seed, 99u);
-  ASSERT_EQ(plan->rules.size(), 1u);
-  EXPECT_DOUBLE_EQ(plan->rules[0].torn_write, 0.25);
-}
-
 }  // namespace
 }  // namespace pfm

@@ -32,6 +32,11 @@ not know about:
                    straggler machinery never runs, and a detector that
                    blocks on the nodes it monitors cannot detect anything.
                    Server loops (src/cluster/node.cpp) block by design.
+  getenv           src/ reads no environment: a run is defined by its
+                   ClusterConfig and explicit arguments, so a stray shell
+                   variable cannot change what the library does. The one
+                   waiver is util/log.cpp's PFM_LOG threshold. Harnesses
+                   (bench/, tests/, tools/) may read their own variables.
 
 A finding can be waived per line (or per include) with a trailing comment:
     std::mutex mu;  // pfm-lint: allow(raw-mutex)
@@ -120,6 +125,13 @@ RULES = [
         "receive() hangs forever on a dead node and starves the "
         "retry/failover/straggler machinery",
     ),
+    (
+        "getenv",
+        re.compile(r"\b(secure_)?getenv\s*\("),
+        lambda p: p.startswith("src/"),
+        "the library reads no environment: take the value from ClusterConfig "
+        "or an explicit argument, or name a constant",
+    ),
 ]
 
 ALLOW = re.compile(r"pfm-lint:\s*allow\(([a-z0-9-]+)\)")
@@ -206,6 +218,14 @@ def self_test() -> int:
         ("src/clusterfile/journal.cpp",
          'path_ = dir / "metadata.journal";', None),  # the WAL itself
         ("tools/pfm_fsck.cpp", 'open(dir / "manifest.pfm");', None),  # not src/
+        ("src/clusterfile/fs.cpp",
+         'const char* v = std::getenv("PFM_RING_VNODES");', "getenv"),
+        ("src/util/thread_pool.cpp", 'if (secure_getenv("X")) {}', "getenv"),
+        ("src/util/log.cpp",
+         'const char* e = std::getenv("PFM_LOG");  // pfm-lint: allow(getenv)',
+         None),  # the operator's log threshold
+        ("bench/chaos_soak.cpp", 'std::getenv("PFM_FAULT_SEED");',
+         None),  # harnesses read their own variables
     ]
     failures = 0
     root = pathlib.Path("/self-test")
