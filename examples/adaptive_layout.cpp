@@ -28,7 +28,7 @@ int main() {
   rec.name = "matrix.dat";
   rec.size = n * n;
   rec.subfile_falls = {col_elems.begin(), col_elems.end()};
-  rec.io_nodes = {4, 5, 6, 7};
+  rec.replica_nodes = {{4}, {5}, {6}, {7}};
   meta.create(rec);
   std::printf("created %s: %lld bytes, %zu subfiles (column blocks)\n\n",
               rec.name.c_str(), static_cast<long long>(rec.size),

@@ -43,83 +43,48 @@ std::chrono::nanoseconds RetryPolicy::budget() const {
   return total;
 }
 
-ClusterfileClient::ClusterfileClient(
-    Network& net, int node_id, FileMeta meta,
-    std::shared_ptr<const PlacementDirectory> placement)
+ClusterfileClient::ClusterfileClient(Network& net, int node_id, FileMeta meta,
+                                     const PlacementDirectory& placement)
     : net_(net),
       node_id_(node_id),
       meta_(std::move(meta)),
-      placement_(std::move(placement)) {
+      placement_(placement) {
   if (!meta_.physical)
     throw std::invalid_argument("ClusterfileClient: no physical pattern");
-  if (meta_.io_nodes.size() != meta_.physical->element_count())
-    throw std::invalid_argument("ClusterfileClient: io_nodes count mismatch");
-  if (meta_.replicas.empty()) {
-    // No replication: every subfile lives only on its primary.
-    meta_.replicas.reserve(meta_.io_nodes.size());
-    for (const int node : meta_.io_nodes)
-      meta_.replicas.push_back({node});
-  } else {
-    if (meta_.replicas.size() != meta_.io_nodes.size())
-      throw std::invalid_argument("ClusterfileClient: replicas count mismatch");
-    for (std::size_t i = 0; i < meta_.replicas.size(); ++i)
-      if (meta_.replicas[i].empty() ||
-          meta_.replicas[i][0] != meta_.io_nodes[i])
-        throw std::invalid_argument(
-            "ClusterfileClient: replica list must start with the primary");
-  }
-  set_write_quorum(meta_.write_quorum);
-  // A directory created before this client may already be ahead of the
-  // FileMeta snapshot (repairs between cluster start and client creation):
-  // force the first access to reconcile.
-  if (placement_) placement_seen_ = -1;
+  if (meta_.write_quorum < 0)
+    throw std::invalid_argument("ClusterfileClient: negative write quorum");
+  replicas_ = placement_.snapshot_with_epoch(&placement_seen_);
+  if (replicas_.size() != meta_.physical->element_count())
+    throw std::invalid_argument(
+        "ClusterfileClient: placement subfile count mismatch");
 }
 
 void ClusterfileClient::maybe_refresh_placement() {
-  if (!placement_) return;
-  const std::int64_t epoch = placement_->epoch();
-  if (epoch == placement_seen_) return;
-  const std::vector<std::vector<int>> snap = placement_->snapshot();
-  PFM_CHECK(snap.size() == meta_.replicas.size(),
-            "placement directory covers ", snap.size(), " subfiles, file has ",
-            meta_.replicas.size());
-  for (std::size_t i = 0; i < snap.size(); ++i) {
-    meta_.replicas[i] = snap[i];
-    meta_.io_nodes[i] = snap[i][0];
-  }
-  // Installed views baked the replica chain into their targets at set_view
-  // time; re-aim them. The new replica has no projections yet — the first
+  if (placement_.epoch() == placement_seen_) return;
+  // Views and cached plans hold no node ids, so swapping the table re-aims
+  // every later request. A new replica has no projections yet — the first
   // request it sees answers kUnknownView and the transact engine
   // re-installs the view in-band.
-  for (ViewState& state : views_) {
-    for (SubTarget& t : state.targets) {
-      t.replicas = snap[t.subfile];
-      t.io_node = t.replicas[0];
-    }
-  }
-  // Plans cache each target's serving node; drop them so the next access
-  // re-materializes against the new primaries.
-  invalidate_plans();
+  replicas_ = placement_.snapshot_with_epoch(&placement_seen_);
   // A rebalance may have migrated a subfile slot off a node entirely. A
   // pending straggler aimed at the old holder would complete a write on a
   // copy the placement retired, and scrub debt against it would point scrub
   // at a replica that no longer exists — purge both. No divergence is lost:
   // the migration's catch-up sync carried everything the new holder missed.
+  const auto holds = [&](int subfile, int node) {
+    const std::vector<int>& reps = replicas_[static_cast<std::size_t>(subfile)];
+    return std::find(reps.begin(), reps.end(), node) != reps.end();
+  };
   std::erase_if(scrub_debt_, [&](const std::pair<int, int>& debt) {
-    const std::vector<int>& reps = snap[static_cast<std::size_t>(debt.first)];
-    return std::find(reps.begin(), reps.end(), debt.second) == reps.end();
+    return !holds(debt.first, debt.second);
   });
   std::vector<std::uint64_t> stale;
-  for (const auto& [id, s] : stragglers_) {
-    const std::vector<int>& reps = snap[static_cast<std::size_t>(s.subfile)];
-    if (std::find(reps.begin(), reps.end(), s.io_node) == reps.end())
-      stale.push_back(id);
-  }
+  for (const auto& [id, s] : stragglers_)
+    if (!holds(s.subfile, s.io_node)) stale.push_back(id);
   for (const std::uint64_t id : stale) {
     stragglers_.erase(id);
     ++stragglers_purged_;
   }
-  placement_seen_ = epoch;
 }
 
 std::vector<int> ClusterfileClient::take_scrub_debt() {
@@ -179,48 +144,33 @@ std::int64_t ClusterfileClient::set_view(FallsSet falls,
     // over the shared pool; the serial merge below restores ascending
     // subfile order for deterministic target/message ordering.
     Timer t;
-    struct Slot {
-      bool used = false;
-      SubTarget target;
-      Message msg;
-    };
-    std::vector<Slot> slots(count);
+    std::vector<std::optional<SubTarget>> slots(count);
     ThreadPool::shared().parallel_for(count, [&](std::size_t j) {
       const Intersection x = intersect_nested(view_elem, phys.pattern_element(j));
       if (x.empty()) return;
       const Projection pv = project(x, view_elem);
       const Projection ps = project(x, phys.pattern_element(j));
-      Slot& s = slots[j];
-      s.target.subfile = j;
-      s.target.io_node = meta_.io_nodes[j];
-      s.target.replicas = meta_.replicas[j];
-      s.target.proj_v = IndexSet(pv.falls, pv.period);
-      s.target.sub_period_bytes = state.replay_period > 0 ? sub_period[j] : 0;
-      s.target.proj_meta = serialize(ps.falls);
-      s.target.proj_period = ps.period;
-
-      s.msg.kind = MsgKind::kSetView;
-      s.msg.dst_node = meta_.io_nodes[j];
-      s.msg.subfile = static_cast<int>(j);
-      s.msg.view_id = new_view_id;
-      s.msg.meta = s.target.proj_meta;
-      s.msg.v = ps.period;
-      s.used = true;
+      SubTarget& target = slots[j].emplace();
+      target.subfile = j;
+      target.proj_v = IndexSet(pv.falls, pv.period);
+      target.sub_period_bytes = state.replay_period > 0 ? sub_period[j] : 0;
+      target.proj_meta = serialize(ps.falls);
+      target.proj_period = ps.period;
     });
-    for (Slot& s : slots) {
-      if (!s.used) continue;
+    for (std::optional<SubTarget>& slot : slots) {
+      if (!slot) continue;
       // The view install fans out to every replica of the subfile, so a
       // backup can serve reads and absorb writes without a re-install.
       const std::size_t group = state.targets.size();
-      for (const int node : s.target.replicas) {
+      for (const int node : replicas_[slot->subfile]) {
         TxReq req;
-        req.msg = s.msg;
+        req.msg = set_view_msg(*slot, new_view_id);
         req.msg.dst_node = node;
         req.group = group;
         to_send.push_back(std::move(req));
         req_target.push_back(group);
       }
-      state.targets.push_back(std::move(s.target));
+      state.targets.push_back(std::move(*slot));
     }
     t_i_us_ = t.elapsed_us();
   }
@@ -234,15 +184,7 @@ std::int64_t ClusterfileClient::set_view(FallsSet falls,
         std::move(to_send), targets.size(), MsgKind::kAck, /*quorum=*/0,
         /*rebuild=*/
         [&](std::size_t i) {
-          const SubTarget& st = targets[req_target[i]];
-          Message msg;
-          msg.kind = MsgKind::kSetView;
-          msg.dst_node = st.io_node;
-          msg.subfile = static_cast<int>(st.subfile);
-          msg.view_id = new_view_id;
-          msg.meta = st.proj_meta;
-          msg.v = st.proj_period;
-          return msg;
+          return set_view_msg(targets[req_target[i]], new_view_id);
         },
         /*reinstall=*/[](std::size_t) { return std::nullopt; }, vt, nullptr);
   }
@@ -253,6 +195,17 @@ std::int64_t ClusterfileClient::set_view(FallsSet falls,
   // they were derived under (DESIGN.md, "The access-plan layer").
   invalidate_plans();
   return new_view_id;
+}
+
+Message ClusterfileClient::set_view_msg(const SubTarget& target,
+                                        std::int64_t view_id) {
+  Message msg;
+  msg.kind = MsgKind::kSetView;
+  msg.subfile = static_cast<int>(target.subfile);
+  msg.view_id = view_id;
+  msg.meta = target.proj_meta;
+  msg.v = target.proj_period;
+  return msg;
 }
 
 const ClusterfileClient::ViewState& ClusterfileClient::view_state(
@@ -283,7 +236,6 @@ ClusterfileClient::AccessPlan ClusterfileClient::build_plan(
     PlanTarget pt;
     pt.target_index = k;
     pt.subfile = static_cast<int>(target.subfile);
-    pt.io_node = target.io_node;
     pt.base_vs = iv->lo;
     pt.base_ws = iv->hi;
     pt.sub_period_bytes = target.sub_period_bytes;
@@ -888,7 +840,6 @@ ClusterfileClient::AccessTimings ClusterfileClient::write(
   const auto make_write = [&](const PlanTarget& pt) {
     Message msg;
     msg.kind = MsgKind::kWrite;
-    msg.dst_node = pt.io_node;
     msg.subfile = pt.subfile;
     msg.view_id = view_id;
     msg.v = pt.base_vs + shift * pt.sub_period_bytes;
@@ -908,7 +859,7 @@ ClusterfileClient::AccessTimings ClusterfileClient::write(
   for (std::size_t k = 0; k < plan->targets.size(); ++k) {
     const PlanTarget& pt = plan->targets[k];
     const std::vector<int>& reps =
-        state.targets[pt.target_index].replicas;
+        replicas_[static_cast<std::size_t>(pt.subfile)];
     Message msg = make_write(pt);
     if (pt.runs.contiguous) {
       gather_runs(msg.payload, data, pt.runs);
@@ -936,7 +887,7 @@ ClusterfileClient::AccessTimings ClusterfileClient::write(
     Timer t;
     transact(
         std::move(reqs), plan->targets.size(), MsgKind::kAck,
-        /*quorum=*/write_quorum_,
+        /*quorum=*/meta_.write_quorum,
         /*rebuild=*/
         [&](std::size_t i) {
           const PlanTarget& pt = plan->targets[req_target[i]];
@@ -946,16 +897,9 @@ ClusterfileClient::AccessTimings ClusterfileClient::write(
         },
         /*reinstall=*/
         [&](std::size_t i) -> std::optional<Message> {
-          const SubTarget& st =
-              state.targets[plan->targets[req_target[i]].target_index];
-          Message msg;
-          msg.kind = MsgKind::kSetView;
-          msg.dst_node = st.io_node;
-          msg.subfile = static_cast<int>(st.subfile);
-          msg.view_id = view_id;
-          msg.meta = st.proj_meta;
-          msg.v = st.proj_period;
-          return msg;
+          return set_view_msg(
+              state.targets[plan->targets[req_target[i]].target_index],
+              view_id);
         },
         out, nullptr);
     out.t_w_us = t.elapsed_us();
@@ -985,7 +929,6 @@ ClusterfileClient::AccessTimings ClusterfileClient::read(
   const auto make_read = [&](const PlanTarget& pt) {
     Message msg;
     msg.kind = MsgKind::kRead;
-    msg.dst_node = pt.io_node;
     msg.subfile = pt.subfile;
     msg.view_id = view_id;
     msg.v = pt.base_vs + shift * pt.sub_period_bytes;
@@ -1000,9 +943,11 @@ ClusterfileClient::AccessTimings ClusterfileClient::read(
   reqs.reserve(plan->targets.size());
   for (std::size_t k = 0; k < plan->targets.size(); ++k) {
     const PlanTarget& pt = plan->targets[k];
-    const std::vector<int>& reps = state.targets[pt.target_index].replicas;
+    const std::vector<int>& reps =
+        replicas_[static_cast<std::size_t>(pt.subfile)];
     TxReq req;
     req.msg = make_read(pt);
+    req.msg.dst_node = reps[0];
     req.group = k;
     req.backups.assign(reps.begin() + 1, reps.end());
     reqs.push_back(std::move(req));
@@ -1019,15 +964,8 @@ ClusterfileClient::AccessTimings ClusterfileClient::read(
         [&](std::size_t i) { return make_read(plan->targets[i]); },
         /*reinstall=*/
         [&](std::size_t i) -> std::optional<Message> {
-          const SubTarget& st = state.targets[plan->targets[i].target_index];
-          Message msg;
-          msg.kind = MsgKind::kSetView;
-          msg.dst_node = st.io_node;
-          msg.subfile = static_cast<int>(st.subfile);
-          msg.view_id = view_id;
-          msg.meta = st.proj_meta;
-          msg.v = st.proj_period;
-          return msg;
+          return set_view_msg(state.targets[plan->targets[i].target_index],
+                              view_id);
         },
         out, &replies);
     out.t_w_us = t.elapsed_us();

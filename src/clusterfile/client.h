@@ -26,17 +26,17 @@
 // access with a TimeoutError naming the node (default) or, with
 // set_allow_partial(true), degrades to a per-subfile kFailed status.
 //
-// Replication (DESIGN.md "Failure model"): when FileMeta::replicas places a
-// subfile on more than one I/O node, writes and view installations fan out
-// to every replica, and reads fail over along the replica chain when the
-// serving node is given up on (timeout after max_attempts, or a terminal
-// error such as kCorruptData). An access that loses replicas but keeps at
-// least one healthy copy per target completes with AccessStatus::kDegraded
-// — degraded-but-correct, never an exception — and the failover/degraded/
-// replica_failures counters record the cost. One delivery budget (the sum
-// of the RetryPolicy backoff schedule) covers a target's *whole* replica
-// chain: attempts carry across failovers, so a dead chain costs one
-// schedule, never chain-length × schedule.
+// Replication (DESIGN.md "Failure model"): when the placement directory
+// puts a subfile on more than one I/O node, writes and view installations
+// fan out to every replica, and reads fail over along the replica chain
+// when the serving node is given up on (timeout after max_attempts, or a
+// terminal error such as kCorruptData). An access that loses replicas but
+// keeps at least one healthy copy per target completes with
+// AccessStatus::kDegraded — degraded-but-correct, never an exception — and
+// the failover/degraded/replica_failures counters record the cost. One
+// delivery budget (the sum of the RetryPolicy backoff schedule) covers a
+// target's *whole* replica chain: attempts carry across failovers, so a
+// dead chain costs one schedule, never chain-length × schedule.
 //
 // Quorum writes (DESIGN.md "Replication, re-sync and scrub"): with
 // FileMeta::write_quorum = W in [1, replication), a write group completes
@@ -70,18 +70,14 @@
 
 namespace pfm {
 
-/// What a client needs to know about an open file: the physical pattern and
-/// which cluster node serves each subfile.
+/// What a client needs to know about an open file besides its placement
+/// (which lives in the PlacementDirectory).
 struct FileMeta {
   std::shared_ptr<const PartitioningPattern> physical;
-  std::vector<int> io_nodes;  ///< io_nodes[i] serves subfile i
-  /// Replica placement: replicas[i] lists every node holding subfile i,
-  /// primary first (replicas[i][0] == io_nodes[i]). Empty means no
-  /// replication; the client synthesizes single-node lists.
-  std::vector<std::vector<int>> replicas;
   /// W-of-N write acknowledgment policy: a write group returns once
-  /// `write_quorum` replicas acked (remaining fan-out requests become
-  /// background stragglers). 0 (default) = wait for every replica.
+  /// min(write_quorum, its replica count) replicas acked (remaining fan-out
+  /// requests become background stragglers). 0 (default) = wait for every
+  /// replica.
   int write_quorum = 0;
 };
 
@@ -131,12 +127,12 @@ struct SubfileAccess {
 
 class ClusterfileClient {
  public:
-  /// `placement`, when given, is the live replica-placement directory: the
-  /// client compares its epoch at the start of every access and re-snapshots
-  /// replica targets when the self-heal repair path re-placed subfiles
-  /// (DESIGN.md "Self-healing"). Null keeps FileMeta::replicas static.
+  /// `placement` is the live replica-placement directory (it must outlive
+  /// the client): the client compares its epoch at the start of every
+  /// access and re-snapshots the replica rows when repair or rebalance
+  /// re-placed subfiles (DESIGN.md "Self-healing").
   ClusterfileClient(Network& net, int node_id, FileMeta meta,
-                    std::shared_ptr<const PlacementDirectory> placement = {});
+                    const PlacementDirectory& placement);
 
   int node_id() const { return node_id_; }
 
@@ -200,16 +196,6 @@ class ClusterfileClient {
   /// Cumulative reliability counters across every access of this client.
   const ReliabilityCounters& reliability() const { return rel_; }
 
-  /// W-of-N write acknowledgment policy (0 = wait for the full fan-out;
-  /// seeded from FileMeta::write_quorum, adjustable per client). The
-  /// effective quorum of a group is min(W, its replica count).
-  void set_write_quorum(int quorum) {
-    if (quorum < 0)
-      throw std::invalid_argument("ClusterfileClient: negative write quorum");
-    write_quorum_ = quorum;
-  }
-  int write_quorum() const { return write_quorum_; }
-
   /// Background straggler observability: requests still in flight after
   /// their group met its quorum, and the cumulative completed/abandoned
   /// split. Stragglers are pumped whenever the client waits on the network;
@@ -253,11 +239,11 @@ class ClusterfileClient {
   static constexpr std::size_t kDefaultPlanCacheCapacity = 64;
 
  private:
+  /// One subfile a view intersects. Holds no node ids: requests are aimed
+  /// through replicas_ at send time, so views and cached plans survive a
+  /// placement change.
   struct SubTarget {
     std::size_t subfile = 0;
-    int io_node = -1;
-    std::vector<int> replicas;  ///< every node holding the subfile, primary
-                                ///< first (from FileMeta::replicas)
     IndexSet proj_v;  ///< PROJ_V^{V∩S} in view space
     /// Subfile bytes per view replay period (see ViewState::replay_period):
     /// shifting an access by one replay period shifts its subfile interval
@@ -283,7 +269,6 @@ class ClusterfileClient {
   struct PlanTarget {
     std::size_t target_index = 0;  ///< into ViewState::targets
     int subfile = 0;
-    int io_node = -1;
     std::int64_t base_vs = 0;  ///< subfile interval at the plan's base_v
     std::int64_t base_ws = 0;
     std::int64_t sub_period_bytes = 0;
@@ -316,6 +301,9 @@ class ClusterfileClient {
   };
 
   const ViewState& view_state(std::int64_t view_id) const;
+  /// The kSetView installing `target`'s projection under `view_id` (no
+  /// destination: transact routes it to the replica being served).
+  static Message set_view_msg(const SubTarget& target, std::int64_t view_id);
   /// Cache lookup -> build on miss -> insert. Returns the plan plus the
   /// period shift to replay it at `v`; updates the hit/miss counters of
   /// both the client and `t`.
@@ -401,16 +389,18 @@ class ClusterfileClient {
   void send_or_throw(Message msg);
   /// Stamps req_id (and the checksum when the network asks for it).
   void seal(Message& msg, std::uint64_t req_id);
-  /// Re-snapshots replica targets from the placement directory when its
-  /// epoch moved: meta_, every installed view's SubTargets and the plan
-  /// cache (PlanTarget caches io_node). Called at the start of every
-  /// access, under the canary.
+  /// Re-snapshots replicas_ when the placement directory's epoch moved, and
+  /// drops stragglers and scrub debt aimed at nodes that no longer hold
+  /// their subfile. Called at the start of every access, under the canary.
   void maybe_refresh_placement();
 
   Network& net_;
   int node_id_;
   FileMeta meta_;
-  std::shared_ptr<const PlacementDirectory> placement_;
+  const PlacementDirectory& placement_;
+  /// This client's snapshot of the directory: replicas_[i] lists the nodes
+  /// of subfile i, primary first, as of epoch placement_seen_.
+  std::vector<std::vector<int>> replicas_;
   std::int64_t placement_seen_ = 0;
   std::vector<ViewState> views_;
   LruCache<PlanKey, std::shared_ptr<const AccessPlan>, PlanKeyHash>
@@ -421,7 +411,6 @@ class ClusterfileClient {
   double t_view_total_us_ = 0;
   RetryPolicy policy_;
   bool allow_partial_ = false;
-  int write_quorum_ = 0;
   ReliabilityCounters rel_;
   /// Background completion set: fan-out requests outliving their group's
   /// quorum, keyed by req_id. Pumped by transact and drain_stragglers.

@@ -95,34 +95,31 @@ Clusterfile::Clusterfile(ClusterConfig config, PartitioningPattern physical)
       ring_.add_node(config_.compute_nodes + i);
   }
   meta_.write_quorum = config_.write_quorum;
-  meta_.io_nodes.resize(subfiles);
-  meta_.replicas.resize(subfiles);
+  // The initial placement table, handed to the PlacementDirectory below
+  // (after a durable mount has had its say).
+  std::vector<std::vector<int>> rows(subfiles);
   if (config_.ring_placement) {
     // Ring placement: replicas of subfile i are the first `replication`
     // distinct members clockwise from hash(i) — a pure function of the
     // membership, which is what lets add/decommission plan minimal moves.
     MutexLock lock(member_mu_);
-    for (std::size_t i = 0; i < subfiles; ++i) {
-      meta_.replicas[i] =
+    for (std::size_t i = 0; i < subfiles; ++i)
+      rows[i] =
           ring_.replicas_for(static_cast<std::uint64_t>(i), config_.replication);
-      meta_.io_nodes[i] = meta_.replicas[i][0];
-    }
   } else {
     // Static placement: subfile i is served by I/O node (compute_nodes +
     // i % io_nodes); replica r follows at (i + r) % io_nodes, so
     // consecutive subfiles spread their backups across distinct nodes
     // (k-way declustering).
-    for (std::size_t i = 0; i < subfiles; ++i) {
+    for (std::size_t i = 0; i < subfiles; ++i)
       for (int r = 0; r < config_.replication; ++r)
-        meta_.replicas[i].push_back(
+        rows[i].push_back(
             config_.compute_nodes +
             static_cast<int>(i + static_cast<std::size_t>(r)) % config_.io_nodes);
-      meta_.io_nodes[i] = meta_.replicas[i][0];
-    }
   }
   if constexpr (kDcheckEnabled) {
     for (std::size_t i = 0; i < subfiles; ++i)
-      for (const int node : meta_.replicas[i])
+      for (const int node : rows[i])
         PFM_DCHECK(node >= config_.compute_nodes &&
                        node < config_.compute_nodes + config_.io_nodes,
                    "subfile ", i, " assigned to non-I/O node ", node);
@@ -194,12 +191,8 @@ Clusterfile::Clusterfile(ClusterConfig config, PartitioningPattern physical)
             ring_.add_node(node);
           }
         };
-        if (rec.replica_nodes.empty()) {
-          for (const int n : rec.io_nodes) activate(n);
-        } else {
-          for (const auto& row : rec.replica_nodes)
-            for (const int n : row) activate(n);
-        }
+        for (const auto& row : rec.replica_nodes)
+          for (const int n : row) activate(n);
       }
       // Reconcile against the on-disk copies: the highest-epoch copy on a
       // serving node is the authority, even when the metadata never heard
@@ -218,8 +211,7 @@ Clusterfile::Clusterfile(ClusterConfig config, PartitioningPattern physical)
             return st == IoNodeState::kActive || st == IoNodeState::kDraining;
           });
       for (std::size_t i = 0; i < subfiles; ++i) {
-        meta_.replicas[i] = mount_plan.rows[i].replicas;
-        meta_.io_nodes[i] = meta_.replicas[i][0];
+        rows[i] = mount_plan.rows[i].replicas;
         if (mount_plan.rows[i].orphan_adopted) ++mount_report_.orphans_adopted;
         mount_report_.copies_missing +=
             static_cast<int>(mount_plan.rows[i].missing.size());
@@ -236,15 +228,14 @@ Clusterfile::Clusterfile(ClusterConfig config, PartitioningPattern physical)
       fresh.name = kMetaFile;
       fresh.displacement = meta_.physical->displacement();
       fresh.subfile_falls = meta_.physical->elements();
-      fresh.io_nodes = meta_.io_nodes;
-      if (config_.replication > 1) fresh.replica_nodes = meta_.replicas;
+      fresh.replica_nodes = rows;
       fresh.write_quorum = config_.write_quorum;
       MutexLock lock(meta_mu_);
       meta_store_.create(std::move(fresh));
     }
   }
   placement_ =
-      std::make_shared<PlacementDirectory>(meta_.replicas, placement_seed);
+      std::make_unique<PlacementDirectory>(std::move(rows), placement_seed);
 
   start_servers(nullptr, preserve);
   start_clients();
@@ -318,14 +309,13 @@ void Clusterfile::start_clients() {
   clients_.clear();
   clients_.reserve(static_cast<std::size_t>(config_.compute_nodes));
   for (int c = 0; c < config_.compute_nodes; ++c)
-    clients_.push_back(std::make_unique<ClusterfileClient>(
-        *net_, c, meta_,
-        std::shared_ptr<const PlacementDirectory>(placement_)));
+    clients_.push_back(
+        std::make_unique<ClusterfileClient>(*net_, c, meta_, *placement_));
 }
 
 void Clusterfile::start_servers(const std::vector<Buffer>* initial,
                                 bool preserve) {
-  const std::size_t subfiles = meta_.io_nodes.size();
+  const std::vector<std::vector<int>> rows = placement_->snapshot();
   const StorageFaultPlan* faults =
       config_.storage_faults ? &*config_.storage_faults : nullptr;
   std::vector<IoNodeState> states;
@@ -341,9 +331,9 @@ void Clusterfile::start_servers(const std::vector<Buffer>* initial,
     const IoNodeState st = states[static_cast<std::size_t>(node)];
     if (st == IoNodeState::kSpare || st == IoNodeState::kRetired) continue;
     IoServer::SubfileStorages storages;
-    for (std::size_t i = 0; i < subfiles; ++i) {
-      for (std::size_t r = 0; r < meta_.replicas[i].size(); ++r) {
-        if (meta_.replicas[i][r] != config_.compute_nodes + node) continue;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      for (std::size_t r = 0; r < rows[i].size(); ++r) {
+        if (rows[i][r] != config_.compute_nodes + node) continue;
         // Faults live directly over the backend; integrity sits above them
         // so injected torn writes and bit rot are what the CRC layer sees.
         // Files are named by the absolute node id so a cold mount (and
@@ -1122,21 +1112,11 @@ RedistStats Clusterfile::relayout(PartitioningPattern new_physical,
     throw std::invalid_argument("Clusterfile::relayout: displacement changed");
   PFM_CHECK(file_size >= 0, "relayout: negative file size ", file_size);
 
-  // Let in-flight repairs and migrations land, then adopt the published
-  // placement as the new baseline: the relayouted copies go wherever
-  // repair/rebalance moved them. The PlacementDirectory itself is never
-  // replaced (the detector callback and repair workers read the pointer
-  // concurrently); its table already says exactly what meta_ is being
-  // synced to.
+  // Let in-flight repairs and migrations land: start_servers then places
+  // the relayouted copies wherever the directory says repair/rebalance
+  // moved them.
   if (repairer_) repairer_->await_idle();
   if (rebalancer_) rebalancer_->await_idle();
-  {
-    const std::vector<std::vector<int>> snap = placement_->snapshot();
-    for (std::size_t i = 0; i < snap.size(); ++i) {
-      meta_.replicas[i] = snap[i];
-      meta_.io_nodes[i] = snap[i][0];
-    }
-  }
 
   // Collect current subfile contents (unwritten tails read as zeros).
   std::vector<Buffer> src(old.element_count());

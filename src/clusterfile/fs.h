@@ -160,7 +160,7 @@ class Clusterfile {
   int compute_nodes() const { return config_.compute_nodes; }
   int io_nodes() const { return config_.io_nodes; }
   const PartitioningPattern& physical() const { return *meta_.physical; }
-  std::size_t subfile_count() const { return meta_.io_nodes.size(); }
+  std::size_t subfile_count() const { return meta_.physical->element_count(); }
 
   /// The client running on compute node c.
   ClusterfileClient& client(int c);
@@ -384,7 +384,9 @@ class Clusterfile {
   std::int64_t integrity_block_ = 0;  ///< resolved from config (0 = off)
   std::unique_ptr<Network> net_;
   FileMeta meta_;
-  std::shared_ptr<PlacementDirectory> placement_;
+  /// The one live placement table. Never replaced once built: the detector
+  /// callback, copy workers and clients read it concurrently.
+  std::unique_ptr<PlacementDirectory> placement_;
   /// One slot per *provisioned* I/O node (max_io_nodes); spare and retired
   /// slots hold nullptr. Slots are only replaced by restart_server /
   /// relayout / add_io_node, all of which first drain the workers that

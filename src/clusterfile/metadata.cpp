@@ -15,28 +15,38 @@ namespace pfm {
 
 namespace {
 
-/// Shared retired-set checks: no duplicates, and no placement row (or
-/// primary list) referencing a retired node. Used by create(),
-/// update_membership() and the manifest loader so the invariant cannot
-/// drift between entry points.
-void check_retired(const std::vector<int>& retired,
-                   const std::vector<int>& io_nodes,
-                   const std::vector<std::vector<int>>& replica_nodes) {
-  for (std::size_t a = 0; a < retired.size(); ++a)
-    for (std::size_t b = a + 1; b < retired.size(); ++b)
-      if (retired[a] == retired[b])
-        throw std::invalid_argument(
-            "MetadataManager: duplicate retired node");
-  const auto is_retired = [&](int node) {
-    return std::find(retired.begin(), retired.end(), node) != retired.end();
-  };
-  for (const int node : io_nodes)
-    if (is_retired(node))
-      throw std::invalid_argument(
-          "MetadataManager: placement references a retired node");
-  for (const auto& reps : replica_nodes)
+bool has_duplicate(const std::vector<int>& nodes) {
+  for (std::size_t a = 0; a < nodes.size(); ++a)
+    for (std::size_t b = a + 1; b < nodes.size(); ++b)
+      if (nodes[a] == nodes[b]) return true;
+  return false;
+}
+
+/// The one placement check, shared by every entry point that accepts
+/// replica rows or a retired set — create(), update_placement(),
+/// update_membership(), the manifest/journal record parser and journal
+/// `placement`/`membership` replay — so the invariant cannot drift between
+/// them: every row non-empty with no repeated node, the write quorum in
+/// [0, widest row], no duplicate retired node, and no row holding a
+/// retired node.
+void check_placement(const std::vector<std::vector<int>>& rows,
+                     int write_quorum, const std::vector<int>& retired) {
+  std::size_t widest = 0;
+  for (const auto& reps : rows) {
+    if (reps.empty())
+      throw std::invalid_argument("MetadataManager: empty replica list");
+    if (has_duplicate(reps))
+      throw std::invalid_argument("MetadataManager: duplicate replica node");
+    widest = std::max(widest, reps.size());
+  }
+  if (write_quorum < 0 || write_quorum > static_cast<int>(widest))
+    throw std::invalid_argument(
+        "MetadataManager: write quorum exceeds the replica count");
+  if (has_duplicate(retired))
+    throw std::invalid_argument("MetadataManager: duplicate retired node");
+  for (const auto& reps : rows)
     for (const int node : reps)
-      if (is_retired(node))
+      if (std::find(retired.begin(), retired.end(), node) != retired.end())
         throw std::invalid_argument(
             "MetadataManager: placement references a retired node");
 }
@@ -139,19 +149,14 @@ void write_record_body(std::ostream& os, const FileRecord& rec) {
   if (rec.write_quorum > 0) os << "quorum " << rec.write_quorum << "\n";
   os << "subfiles " << rec.subfile_falls.size() << "\n";
   for (std::size_t i = 0; i < rec.subfile_falls.size(); ++i) {
-    if (rec.replica_nodes.empty()) {
-      os << rec.io_nodes[i];
-    } else {
-      write_node_list(os, rec.replica_nodes[i]);
-    }
+    write_node_list(os, rec.replica_nodes[i]);
     os << " " << serialize(rec.subfile_falls[i]) << "\n";
   }
 }
 
-/// Parses and validates the lines written by write_record_body. `version`
-/// gates which optional lines a checkpoint manifest of that vintage may
-/// carry; journal records always parse as the latest version.
-FileRecord parse_record_body(std::istream& is, int version, std::string name) {
+/// Parses and validates the lines written by write_record_body (checkpoint
+/// manifests and journal `create` records alike).
+FileRecord parse_record_body(std::istream& is, std::string name) {
   FileRecord rec;
   rec.name = std::move(name);
   rec.displacement = manifest_i64(expect_keyword(is, "disp"), "disp");
@@ -159,7 +164,6 @@ FileRecord parse_record_body(std::istream& is, int version, std::string name) {
   std::string word;
   if (!(is >> word)) bad_manifest("expected subfiles");
   if (word == "ring") {
-    if (version < 5) bad_manifest("ring line in a pre-5 manifest");
     std::string value;
     if (!(is >> value)) bad_manifest("missing value after ring");
     const std::int64_t e = manifest_i64(value, "ring");
@@ -168,7 +172,6 @@ FileRecord parse_record_body(std::istream& is, int version, std::string name) {
     if (!(is >> word)) bad_manifest("expected subfiles");
   }
   if (word == "retired") {
-    if (version < 5) bad_manifest("retired line in a pre-5 manifest");
     std::string value;
     if (!(is >> value)) bad_manifest("missing value after retired");
     rec.retired_nodes = parse_node_list(value, "retired node");
@@ -176,7 +179,6 @@ FileRecord parse_record_body(std::istream& is, int version, std::string name) {
     if (!(is >> word)) bad_manifest("expected subfiles");
   }
   if (word == "placement") {
-    if (version < 4) bad_manifest("placement line in a pre-4 manifest");
     std::string value;
     if (!(is >> value)) bad_manifest("missing value after placement");
     const std::int64_t e = manifest_i64(value, "placement");
@@ -185,7 +187,6 @@ FileRecord parse_record_body(std::istream& is, int version, std::string name) {
     if (!(is >> word)) bad_manifest("expected subfiles");
   }
   if (word == "quorum") {
-    if (version < 3) bad_manifest("quorum line in a pre-3 manifest");
     std::string value;
     if (!(is >> value)) bad_manifest("missing value after quorum");
     const std::int64_t q = manifest_i64(value, "quorum");
@@ -198,28 +199,16 @@ FileRecord parse_record_body(std::istream& is, int version, std::string name) {
   if (!(is >> count_text)) bad_manifest("missing value after subfiles");
   const std::int64_t count = manifest_i64(count_text, "subfile count");
   if (count < 1) bad_manifest("bad subfile count");
-  bool replicated = false;
-  std::size_t widest = 1;
   for (std::int64_t i = 0; i < count; ++i) {
     std::string nodes;
     std::string falls_text;
     if (!(is >> nodes)) bad_manifest("missing io node");
     std::getline(is, falls_text);
-    std::vector<int> reps = parse_node_list(nodes, "io node");
-    if (reps.empty()) bad_manifest("empty replica list");
-    if (version == 1 && reps.size() > 1)
-      bad_manifest("replica list in a version-1 manifest");
-    rec.io_nodes.push_back(reps[0]);
-    widest = std::max(widest, reps.size());
-    rec.replica_nodes.push_back(std::move(reps));
-    if (rec.replica_nodes.back().size() > 1) replicated = true;
+    rec.replica_nodes.push_back(parse_node_list(nodes, "io node"));
     rec.subfile_falls.push_back(parse_falls_set(falls_text));
   }
-  if (rec.write_quorum > static_cast<int>(widest))
-    bad_manifest("write quorum exceeds the replica count");
-  if (version == 1 || !replicated) rec.replica_nodes.clear();
   try {
-    check_retired(rec.retired_nodes, rec.io_nodes, rec.replica_nodes);
+    check_placement(rec.replica_nodes, rec.write_quorum, rec.retired_nodes);
   } catch (const std::invalid_argument& e) {
     bad_manifest(e.what());
   }
@@ -245,36 +234,15 @@ void MetadataManager::create(FileRecord record) {
     throw std::invalid_argument("MetadataManager: file exists: " + record.name);
   if (record.size < 0)
     throw std::invalid_argument("MetadataManager: negative size");
-  if (record.io_nodes.size() != record.subfile_falls.size())
-    throw std::invalid_argument("MetadataManager: io_nodes count mismatch");
-  if (!record.replica_nodes.empty()) {
-    if (record.replica_nodes.size() != record.subfile_falls.size())
-      throw std::invalid_argument(
-          "MetadataManager: replica_nodes count mismatch");
-    for (std::size_t i = 0; i < record.replica_nodes.size(); ++i) {
-      const auto& reps = record.replica_nodes[i];
-      if (reps.empty() || reps[0] != record.io_nodes[i])
-        throw std::invalid_argument(
-            "MetadataManager: replica list must start with the primary");
-      for (std::size_t a = 0; a < reps.size(); ++a)
-        for (std::size_t b = a + 1; b < reps.size(); ++b)
-          if (reps[a] == reps[b])
-            throw std::invalid_argument(
-                "MetadataManager: duplicate replica node");
-    }
-  }
-  std::size_t widest = 1;
-  for (const auto& reps : record.replica_nodes)
-    widest = std::max(widest, reps.size());
-  if (record.write_quorum < 0 ||
-      record.write_quorum > static_cast<int>(widest))
+  if (record.replica_nodes.size() != record.subfile_falls.size())
     throw std::invalid_argument(
-        "MetadataManager: write quorum outside [0, replica count]");
+        "MetadataManager: replica_nodes count mismatch");
   if (record.placement_epoch < 0)
     throw std::invalid_argument("MetadataManager: negative placement epoch");
   if (record.ring_epoch < 0)
     throw std::invalid_argument("MetadataManager: negative ring epoch");
-  check_retired(record.retired_nodes, record.io_nodes, record.replica_nodes);
+  check_placement(record.replica_nodes, record.write_quorum,
+                  record.retired_nodes);
   record.pattern();  // validates the partitioning pattern
 
   std::ostringstream os;
@@ -308,7 +276,7 @@ void MetadataManager::update_membership(const std::string& name,
         throw std::invalid_argument(
             "MetadataManager: ring epoch must advance");
   }
-  check_retired(retired_nodes, rec.io_nodes, rec.replica_nodes);
+  check_placement(rec.replica_nodes, rec.write_quorum, retired_nodes);
 
   std::ostringstream os;
   os << "membership " << name << " " << ring_epoch << " ";
@@ -338,21 +306,7 @@ void MetadataManager::update_placement(
   if (replica_nodes.size() != rec.subfile_falls.size())
     throw std::invalid_argument(
         "MetadataManager: replica_nodes count mismatch");
-  std::size_t widest = 1;
-  for (const auto& reps : replica_nodes) {
-    if (reps.empty())
-      throw std::invalid_argument("MetadataManager: empty replica list");
-    for (std::size_t a = 0; a < reps.size(); ++a)
-      for (std::size_t b = a + 1; b < reps.size(); ++b)
-        if (reps[a] == reps[b])
-          throw std::invalid_argument(
-              "MetadataManager: duplicate replica node");
-    widest = std::max(widest, reps.size());
-  }
-  if (rec.write_quorum > static_cast<int>(widest))
-    throw std::invalid_argument(
-        "MetadataManager: placement leaves the write quorum unsatisfiable");
-  check_retired(rec.retired_nodes, {}, replica_nodes);
+  check_placement(replica_nodes, rec.write_quorum, rec.retired_nodes);
 
   std::ostringstream os;
   os << "placement " << name << " " << placement_epoch << " "
@@ -362,9 +316,6 @@ void MetadataManager::update_placement(
     os << "\n";
   }
   const std::exception_ptr crash = journal_op(os.str());
-  // The primary is the list head by definition; io_nodes follows it.
-  for (std::size_t i = 0; i < replica_nodes.size(); ++i)
-    rec.io_nodes[i] = replica_nodes[i][0];
   rec.replica_nodes = std::move(replica_nodes);
   rec.placement_epoch = placement_epoch;
   finish_op(crash);
@@ -434,22 +385,13 @@ std::vector<std::string> MetadataManager::list() const {
 
 // --- Manifest checkpoint ----------------------------------------------------
 //
-// Manifest format (line oriented):
-//   pfm-manifest <version>
+// Manifest format (line oriented), one version:
+//   pfm-manifest 5
 //   file <name>
 //   <record body — see write_record_body>
-// Version 1 writes <nodes> as the single primary I/O node; version 2 —
-// emitted whenever any record carries replica placement — writes the full
-// comma-separated replica list, primary first (e.g. "5,7"); version 3 —
-// emitted whenever any record carries a write quorum — additionally allows
-// the optional `quorum` line between size and subfiles; version 4 —
-// emitted whenever any record carries a repair-advanced placement epoch —
-// additionally allows the optional `placement` line before `quorum`;
-// version 5 — emitted whenever any record carries elastic-membership state
-// — additionally allows the optional `ring` and `retired` lines before
-// `placement`. load() accepts all five versions and rejects each optional
-// line in the versions that predate it; a placement referencing a retired
-// node is malformed in any version.
+// <nodes> is the subfile's comma-separated replica row, primary first
+// ("5,7"; a single-node row is the bare node id). load() accepts exactly
+// this header.
 
 void MetadataManager::save(const std::filesystem::path& manifest) const {
   // save_atomic returning false means the crash harness froze the metadata
@@ -460,20 +402,8 @@ void MetadataManager::save(const std::filesystem::path& manifest) const {
 }
 
 bool MetadataManager::save_atomic(const std::filesystem::path& manifest) const {
-  bool replicated = false;
-  bool quorum = false;
-  bool placed = false;
-  bool membered = false;
-  for (const auto& [name, rec] : files_) {
-    if (!rec.replica_nodes.empty()) replicated = true;
-    if (rec.write_quorum > 0) quorum = true;
-    if (rec.placement_epoch > 0) placed = true;
-    if (rec.ring_epoch > 0 || !rec.retired_nodes.empty()) membered = true;
-  }
   std::ostringstream os;
-  os << "pfm-manifest "
-     << (membered ? 5 : placed ? 4 : quorum ? 3 : replicated ? 2 : 1)
-     << "\n";
+  os << "pfm-manifest " << kManifestVersion << "\n";
   for (const auto& [name, rec] : files_) {
     os << "file " << name << "\n";
     write_record_body(os, rec);
@@ -497,7 +427,7 @@ void MetadataManager::load(std::istream& is) {
   std::string magic;
   int version = 0;
   if (!(is >> magic >> version) || magic != "pfm-manifest" ||
-      version < 1 || version > 5)
+      version != kManifestVersion)
     bad_manifest("bad header");
 
   std::map<std::string, FileRecord> loaded;
@@ -506,7 +436,7 @@ void MetadataManager::load(std::istream& is) {
     if (keyword != "file") bad_manifest("expected 'file'");
     std::string name;
     if (!(is >> name)) bad_manifest("missing file name");
-    FileRecord rec = parse_record_body(is, version, std::move(name));
+    FileRecord rec = parse_record_body(is, std::move(name));
     if (!loaded.emplace(rec.name, std::move(rec)).second)
       bad_manifest("duplicate file name");
   }
@@ -550,7 +480,7 @@ void MetadataManager::apply_journal_record(const std::string& payload) {
   // shrink.
   if (op == "create") {
     const std::string name = journal_token(is, "file name");
-    FileRecord rec = parse_record_body(is, 5, name);
+    FileRecord rec = parse_record_body(is, name);
     expect_journal_end(is);
     files_[name] = std::move(rec);
     return;
@@ -603,15 +533,9 @@ void MetadataManager::apply_journal_record(const std::string& payload) {
     if (epoch < 1) bad_journal("bad placement epoch");
     if (count < 1 || count > 1 << 20) bad_journal("bad subfile count");
     std::vector<std::vector<int>> replica_nodes;
-    for (std::int64_t i = 0; i < count; ++i) {
-      std::vector<int> reps =
-          parse_node_list(journal_token(is, "replica list"), "io node");
-      if (reps.empty()) bad_journal("empty replica list");
-      for (std::size_t a = 0; a < reps.size(); ++a)
-        for (std::size_t b = a + 1; b < reps.size(); ++b)
-          if (reps[a] == reps[b]) bad_journal("duplicate replica node");
-      replica_nodes.push_back(std::move(reps));
-    }
+    for (std::int64_t i = 0; i < count; ++i)
+      replica_nodes.push_back(
+          parse_node_list(journal_token(is, "replica list"), "io node"));
     expect_journal_end(is);
     const auto it = files_.find(name);
     if (it == files_.end()) return;
@@ -619,8 +543,13 @@ void MetadataManager::apply_journal_record(const std::string& payload) {
     if (epoch <= rec.placement_epoch) return;  // already at or past it
     if (replica_nodes.size() != rec.subfile_falls.size())
       bad_journal("placement subfile count does not match the file");
-    for (std::size_t i = 0; i < replica_nodes.size(); ++i)
-      rec.io_nodes[i] = replica_nodes[i][0];
+    // Checked after the stale-epoch skip: a record the checkpoint already
+    // folded in may name a node retired since, and must replay as a no-op.
+    try {
+      check_placement(replica_nodes, rec.write_quorum, rec.retired_nodes);
+    } catch (const std::invalid_argument& e) {
+      bad_journal(e.what());
+    }
     rec.replica_nodes = std::move(replica_nodes);
     rec.placement_epoch = epoch;
     return;
@@ -640,7 +569,7 @@ void MetadataManager::apply_journal_record(const std::string& payload) {
     FileRecord& rec = it->second;
     if (ring < rec.ring_epoch) return;  // already past it
     try {
-      check_retired(retired, rec.io_nodes, rec.replica_nodes);
+      check_placement(rec.replica_nodes, rec.write_quorum, retired);
     } catch (const std::invalid_argument& e) {
       bad_journal(e.what());
     }

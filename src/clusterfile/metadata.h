@@ -42,28 +42,27 @@ struct FileRecord {
   std::int64_t displacement = 0;
   std::int64_t size = 0;                 ///< current file length in bytes
   std::vector<FallsSet> subfile_falls;   ///< one element per subfile
-  std::vector<int> io_nodes;             ///< io_nodes[i] serves subfile i
-  /// Replica placement: replica_nodes[i] lists every I/O node holding
-  /// subfile i, primary first (replica_nodes[i][0] == io_nodes[i]). Empty
-  /// means no replication — each subfile lives only on its primary.
+  /// Placement: replica_nodes[i] lists every I/O node holding subfile i,
+  /// primary first. One row per subfile, always — an unreplicated file has
+  /// single-node rows.
   std::vector<std::vector<int>> replica_nodes;
   /// W-of-N write acknowledgment policy for the file (ClusterConfig::
   /// write_quorum): 0 = wait for the full fan-out. Must not exceed the
-  /// widest replica list. Persisted by manifest version 3.
+  /// widest replica row. Persisted as the manifest's `quorum` line.
   int write_quorum = 0;
   /// Placement version: 0 for the as-created placement, bumped each time
   /// the self-heal repair path re-places replicas (PlacementDirectory
-  /// epoch at publish time). Persisted by manifest version 4; clients
+  /// epoch at publish time). Persisted as the `placement` line; clients
   /// compare it to detect stale replica lists.
   std::int64_t placement_epoch = 0;
   /// Membership epoch of the placement ring (Clusterfile::ring_epoch): 0
   /// until the first add/decommission/remove, strictly advancing after.
-  /// Persisted by manifest version 5.
+  /// Persisted as the `ring` line.
   std::int64_t ring_epoch = 0;
   /// I/O nodes decommissioned or removed from the membership (no
   /// duplicates). A placement referencing a retired node is malformed —
   /// retirement means no copy may live (or be looked for) there again.
-  /// Persisted by manifest version 5.
+  /// Persisted as the `retired` line.
   std::vector<int> retired_nodes;
 
   /// The validated partitioning pattern (constructed on demand).
@@ -83,6 +82,8 @@ class MetadataManager {
   /// File names inside a durable metadata directory.
   static constexpr const char* kManifestName = "manifest.pfm";
   static constexpr const char* kJournalName = "metadata.journal";
+  /// The one manifest format save() writes and load() accepts.
+  static constexpr int kManifestVersion = 5;
 
   MetadataManager();
   ~MetadataManager();
@@ -101,8 +102,9 @@ class MetadataManager {
   /// Replaces the physical layout (used by relayout).
   void update_layout(const std::string& name, std::vector<FallsSet> subfile_falls);
   /// Replaces the replica placement after a self-heal re-replication:
-  /// validates like create() (primary-first, no duplicates, quorum still
-  /// satisfiable) and requires the placement epoch to advance.
+  /// validates like create() (non-empty rows, no duplicates, quorum still
+  /// satisfiable, no retired node) and requires the placement epoch to
+  /// advance.
   void update_placement(const std::string& name,
                         std::vector<std::vector<int>> replica_nodes,
                         std::int64_t placement_epoch);

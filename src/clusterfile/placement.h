@@ -1,14 +1,14 @@
 // Shared replica-placement directory (DESIGN.md "Self-healing").
 //
 // The repair planner re-places subfiles away from dead nodes while clients
-// keep running, so "which nodes hold subfile i" is no longer a constant of
-// FileMeta: it is versioned, concurrently-read state. The directory holds
-// the authoritative replica lists plus a monotonically increasing
-// placement epoch (persisted as manifest version 4's `placement` line);
-// clients compare the epoch at the start of every access and re-snapshot
-// their targets when it moved — the in-band analogue of a metadata-server
-// round trip, after which the first request to a fresh replica answers
-// kUnknownView and the PR-3 re-install path ships it the projections.
+// keep running, so "which nodes hold subfile i" is versioned,
+// concurrently-read state. The directory is the one live placement table:
+// the replica rows plus a monotonically increasing placement epoch
+// (persisted as FileRecord::placement_epoch, the manifest's `placement`
+// line). Each client keeps one snapshot of the rows and re-takes it when
+// the epoch moved — the in-band analogue of a metadata-server round trip,
+// after which the first request to a fresh replica answers kUnknownView
+// and the client's view re-install path ships it the projections.
 #pragma once
 
 #include <atomic>
@@ -23,13 +23,10 @@ namespace pfm {
 class PlacementDirectory {
  public:
   /// Initial placement: replicas[i] lists the nodes of subfile i, primary
-  /// first. Starts at epoch 0 — the "as created" placement.
-  explicit PlacementDirectory(std::vector<std::vector<int>> replicas);
-
-  /// Mount path: seeds the table *and* the epoch from recovered metadata,
-  /// so clients and the manifest agree on the placement version across a
-  /// remount instead of restarting from 0 (which would mask every repair
-  /// that happened before the crash).
+  /// first. `epoch` is 0 for the as-created placement; a mount seeds it
+  /// from recovered metadata, so clients and the manifest agree on the
+  /// placement version across a remount instead of restarting from 0
+  /// (which would mask every repair that happened before the crash).
   PlacementDirectory(std::vector<std::vector<int>> replicas,
                      std::int64_t epoch);
 

@@ -100,9 +100,7 @@ ReconcilePlan plan_reconcile(const FileRecord& rec,
   for (std::size_t i = 0; i < rec.subfile_falls.size(); ++i) {
     ReconcileRow row;
     row.subfile = static_cast<int>(i);
-    const std::vector<int> recorded =
-        rec.replica_nodes.empty() ? std::vector<int>{rec.io_nodes[i]}
-                                  : rec.replica_nodes[i];
+    const std::vector<int>& recorded = rec.replica_nodes[i];
     const auto is_recorded = [&](int node) {
       return std::find(recorded.begin(), recorded.end(), node) !=
              recorded.end();
@@ -146,7 +144,6 @@ ReconcilePlan plan_reconcile(const FileRecord& rec,
       if (row.replicas.size() >= recorded.size()) break;
       row.replicas.push_back(node);
     }
-    if (row.replicas.empty()) row.replicas = recorded;  // defensive
     for (std::size_t k = 1; k < row.replicas.size(); ++k) {
       const SubfileCopy* c = copy_of(row.replicas[k]);
       if (c == nullptr) {
@@ -158,12 +155,8 @@ ReconcilePlan plan_reconcile(const FileRecord& rec,
     }
     plan.rows.push_back(std::move(row));
   }
-  for (std::size_t i = 0; i < plan.rows.size(); ++i) {
-    const std::vector<int> recorded =
-        rec.replica_nodes.empty() ? std::vector<int>{rec.io_nodes[i]}
-                                  : rec.replica_nodes[i];
-    if (plan.rows[i].replicas != recorded) plan.changed = true;
-  }
+  for (std::size_t i = 0; i < plan.rows.size(); ++i)
+    if (plan.rows[i].replicas != rec.replica_nodes[i]) plan.changed = true;
   return plan;
 }
 

@@ -1122,6 +1122,38 @@ TEST(SelfHeal, MarkDeadRepairsThenMarkAliveRejoins) {
   EXPECT_TRUE(fs.scrub().clean());
 }
 
+// Cached access plans hold no node ids, so a repair that republishes the
+// placement leaves them valid: the next access of the same shape replays
+// its plan against the new replica rows and reads the same bytes.
+TEST(SelfHeal, CachedPlansSurvivePlacementChange) {
+  Clusterfile fs(self_heal_config(),
+                 pattern2d(Partition2D::kRowBlocks, 16, 4));
+  auto& client = fs.client(0);
+  client.set_retry_policy(soak_policy());
+  const auto views = partition2d_all(Partition2D::kColumnBlocks, 16, 16, 4);
+  const std::int64_t vid = client.set_view(views[0], 256);
+  const Buffer data = make_pattern_buffer(64, 94);
+  client.write(vid, 0, 63, data);  // builds the plan
+  Buffer back(64);
+  EXPECT_EQ(client.read(vid, 0, 63, back).plan_hits, 1);  // warm
+  EXPECT_EQ(back, data);
+
+  fs.detector()->mark_dead(4);  // hosts subfile 0 (primary) and 3 (backup)
+  fs.await_repairs();
+  ASSERT_GT(fs.placement_epoch(), 0);
+
+  const std::int64_t misses = client.plan_cache_misses();
+  Buffer after(64);
+  const auto t = client.read(vid, 0, 63, after);
+  EXPECT_TRUE(t.ok());
+  EXPECT_EQ(t.plan_hits, 1);
+  EXPECT_EQ(t.plan_misses, 0);
+  EXPECT_EQ(client.plan_cache_misses(), misses);
+  EXPECT_EQ(after, data);
+  // Served through the republished rows, none of which holds node 4.
+  for (const SubfileAccess& s : t.per_subfile) EXPECT_NE(s.io_node, 4);
+}
+
 // End-to-end crash: missed pongs cross the suspicion threshold, the dead
 // declaration fires the repair hook, and the node's subfiles come back to
 // full replication on surviving nodes — no operator involved.

@@ -1,4 +1,5 @@
-// Fuzz target: the v1/v2 metadata manifest parser (clusterfile/metadata.h).
+// Fuzz target: the metadata manifest parser (clusterfile/metadata.h; the one
+// format, `pfm-manifest 5`).
 //
 // Contract under test: MetadataManager::load(istream) on arbitrary bytes
 // either loads a manifest or throws std::invalid_argument — never

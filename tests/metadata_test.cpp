@@ -20,7 +20,7 @@ FileRecord sample_record(const std::string& name, Partition2D p,
   rec.size = n * n;
   const auto elems = partition2d_all(p, n, n, 4);
   rec.subfile_falls = {elems.begin(), elems.end()};
-  rec.io_nodes = {4, 5, 6, 7};
+  rec.replica_nodes = {{4}, {5}, {6}, {7}};
   return rec;
 }
 
@@ -48,7 +48,7 @@ TEST(Metadata, RejectsInvalidRecords) {
   rec.name = "";
   EXPECT_THROW(mm.create(rec), std::invalid_argument);
   rec.name = "bad";
-  rec.io_nodes.pop_back();
+  rec.replica_nodes.pop_back();
   EXPECT_THROW(mm.create(rec), std::invalid_argument);  // node count
   rec = sample_record("bad2", Partition2D::kRowBlocks);
   rec.subfile_falls[1] = rec.subfile_falls[0];  // overlapping pattern
@@ -94,7 +94,7 @@ TEST(Metadata, ManifestRoundTrip) {
   custom.subfile_falls = {{make_falls(0, 1, 6, 1)},
                           {make_falls(2, 3, 6, 1)},
                           {make_falls(4, 5, 6, 1)}};
-  custom.io_nodes = {4, 5, 4};
+  custom.replica_nodes = {{4}, {5}, {4}};
   mm.create(custom);
   mm.save(manifest);
 
@@ -105,7 +105,7 @@ TEST(Metadata, ManifestRoundTrip) {
   const FileRecord& g = back.lookup("gamma");
   EXPECT_EQ(g.displacement, 2);
   EXPECT_EQ(g.size, 100);
-  EXPECT_EQ(g.io_nodes, (std::vector<int>{4, 5, 4}));
+  EXPECT_EQ(g.replica_nodes, (std::vector<std::vector<int>>{{4}, {5}, {4}}));
   EXPECT_EQ(g.subfile_falls, custom.subfile_falls);
   const FileRecord& a = back.lookup("alpha");
   EXPECT_EQ(a.subfile_falls, mm.lookup("alpha").subfile_falls);
@@ -125,25 +125,80 @@ TEST(Metadata, LoadRejectsMalformedManifests) {
   };
   MetadataManager mm;
   EXPECT_THROW(mm.load(dir / "missing.txt"), std::runtime_error);
-  EXPECT_THROW(mm.load(write("not-a-manifest 1\n")), std::invalid_argument);
-  EXPECT_THROW(mm.load(write("pfm-manifest 6\n")), std::invalid_argument);
-  EXPECT_NO_THROW(mm.load(write("pfm-manifest 2\n")));  // empty v2 is valid
-  EXPECT_THROW(mm.load(write("pfm-manifest 1\nfile x\ndisp 0\n")),
+  EXPECT_THROW(mm.load(write("not-a-manifest 5\n")), std::invalid_argument);
+  EXPECT_THROW(mm.load(write("pfm-manifest 5\nfile x\ndisp 0\n")),
                std::invalid_argument);
   EXPECT_THROW(
-      mm.load(write("pfm-manifest 1\nfile x\ndisp 0\nsize 8\nsubfiles 1\n"
+      mm.load(write("pfm-manifest 5\nfile x\ndisp 0\nsize 8\nsubfiles 1\n"
                     "4 {(0,1,")),
-      std::invalid_argument);
-  // A replica list needs a version-2 header.
-  EXPECT_THROW(
-      mm.load(write("pfm-manifest 1\nfile x\ndisp 0\nsize 12\nsubfiles 1\n"
-                    "4,5 {(0,11,12,1)}\n")),
       std::invalid_argument);
   std::filesystem::remove_all(dir);
 }
 
+TEST(Metadata, LoadAcceptsOnlyVersion5) {
+  const auto dir = std::filesystem::temp_directory_path() / "pfm_meta_version";
+  std::filesystem::create_directories(dir);
+  const auto manifest = dir / "m.txt";
+  const auto write = [&](const std::string& text) {
+    std::ofstream os(manifest);
+    os << text;
+    os.close();
+    return manifest;
+  };
+  const std::string body =
+      "file x\ndisp 0\nsize 12\nsubfiles 1\n4 {(0,11,12,1)}\n";
+  MetadataManager mm;
+  // Only the header differs: every other version is a "bad header".
+  for (const char* version : {"1", "2", "3", "4", "6"}) {
+    try {
+      mm.load(write(std::string("pfm-manifest ") + version + "\n" + body));
+      ADD_FAILURE() << "version " << version << " loaded";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("bad header"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_NO_THROW(mm.load(write("pfm-manifest 5\n")));  // empty v5 is valid
+  EXPECT_EQ(mm.count(), 0u);
+  EXPECT_NO_THROW(mm.load(write("pfm-manifest 5\n" + body)));
+  EXPECT_EQ(mm.lookup("x").replica_nodes, std::vector<std::vector<int>>{{4}});
+
+  // save() writes version 5 whatever the records hold — here a plain
+  // unreplicated record with no optional lines.
+  MetadataManager plain;
+  plain.create(sample_record("plain", Partition2D::kRowBlocks));
+  plain.save(manifest);
+  {
+    std::ifstream is(manifest);
+    std::string header;
+    std::getline(is, header);
+    EXPECT_EQ(header, "pfm-manifest 5");
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Metadata, ManifestRegressionsReachTheRecordParser) {
+  // Every committed fuzz regression must still be rejected by the record
+  // parser it pins, not by the header check in front of it.
+  int loaded = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(PFM_MANIFEST_REGRESSIONS)) {
+    std::ifstream is(entry.path());
+    MetadataManager mm;
+    try {
+      mm.load(is);
+      ADD_FAILURE() << entry.path() << " loaded";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).find("bad header"), std::string::npos)
+          << entry.path() << ": " << e.what();
+    }
+    ++loaded;
+  }
+  EXPECT_GE(loaded, 5);
+}
+
 // ---------------------------------------------------------------------------
-// Replica placement (manifest version 2)
+// Replica placement
 // ---------------------------------------------------------------------------
 
 TEST(Metadata, ReplicatedRecordValidation) {
@@ -154,7 +209,7 @@ TEST(Metadata, ReplicatedRecordValidation) {
   mm.remove("r");
   rec.replica_nodes = {{4, 5}, {5, 6}, {6, 7}};  // count mismatch
   EXPECT_THROW(mm.create(rec), std::invalid_argument);
-  rec.replica_nodes = {{5, 4}, {5, 6}, {6, 7}, {7, 4}};  // not primary-first
+  rec.replica_nodes = {{4, 5}, {}, {6, 7}, {7, 4}};  // empty row
   EXPECT_THROW(mm.create(rec), std::invalid_argument);
   rec.replica_nodes = {{4, 4}, {5, 6}, {6, 7}, {7, 4}};  // duplicate node
   EXPECT_THROW(mm.create(rec), std::invalid_argument);
@@ -172,28 +227,19 @@ TEST(Metadata, ReplicatedManifestRoundTrip) {
   mm.create(sample_record("plain", Partition2D::kColumnBlocks));
   mm.save(manifest);
 
-  // The header advertises version 2 exactly because a record is replicated.
-  {
-    std::ifstream is(manifest);
-    std::string magic;
-    int version = 0;
-    is >> magic >> version;
-    EXPECT_EQ(version, 2);
-  }
-
   MetadataManager back;
   back.load(manifest);
   const FileRecord& m = back.lookup("mirrored");
   EXPECT_EQ(m.replica_nodes, rec.replica_nodes);
-  EXPECT_EQ(m.io_nodes, rec.io_nodes);
-  // Unreplicated records stay unreplicated after a v2 round trip.
-  EXPECT_TRUE(back.lookup("plain").replica_nodes.empty());
+  // Unreplicated records keep their single-node rows across a round trip.
+  EXPECT_EQ(back.lookup("plain").replica_nodes,
+            (std::vector<std::vector<int>>{{4}, {5}, {6}, {7}}));
 
   std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------
-// Write quorum (manifest version 3)
+// Write quorum
 // ---------------------------------------------------------------------------
 
 TEST(Metadata, QuorumRecordValidation) {
@@ -207,8 +253,8 @@ TEST(Metadata, QuorumRecordValidation) {
   EXPECT_THROW(mm.create(rec), std::invalid_argument);
   rec.write_quorum = -1;
   EXPECT_THROW(mm.create(rec), std::invalid_argument);
-  // Without replica lists only 0 (full fan-out) and 1 are meaningful.
-  rec.replica_nodes.clear();
+  // With single-node rows only 0 (full fan-out) and 1 are meaningful.
+  rec.replica_nodes = {{4}, {5}, {6}, {7}};
   rec.write_quorum = 2;
   EXPECT_THROW(mm.create(rec), std::invalid_argument);
   rec.write_quorum = 1;
@@ -228,15 +274,6 @@ TEST(Metadata, QuorumManifestRoundTrip) {
   mm.create(sample_record("plain", Partition2D::kColumnBlocks));
   mm.save(manifest);
 
-  // The header advertises version 3 exactly because a record has a quorum.
-  {
-    std::ifstream is(manifest);
-    std::string magic;
-    int version = 0;
-    is >> magic >> version;
-    EXPECT_EQ(version, 3);
-  }
-
   MetadataManager back;
   back.load(manifest);
   const FileRecord& s = back.lookup("sloppy");
@@ -244,21 +281,6 @@ TEST(Metadata, QuorumManifestRoundTrip) {
   EXPECT_EQ(s.replica_nodes, rec.replica_nodes);
   // Records without a quorum line load as full fan-out.
   EXPECT_EQ(back.lookup("plain").write_quorum, 0);
-
-  // Replicated-but-no-quorum records still save as version 2: the format
-  // never advances past what the content needs.
-  MetadataManager v2;
-  FileRecord flat = sample_record("mirrored", Partition2D::kRowBlocks);
-  flat.replica_nodes = {{4, 5}, {5, 6}, {6, 7}, {7, 4}};
-  v2.create(flat);
-  v2.save(manifest);
-  {
-    std::ifstream is(manifest);
-    std::string magic;
-    int version = 0;
-    is >> magic >> version;
-    EXPECT_EQ(version, 2);
-  }
 
   std::filesystem::remove_all(dir);
 }
@@ -276,34 +298,30 @@ TEST(Metadata, LoadRejectsMalformedQuorums) {
   MetadataManager mm;
   const std::string body =
       "file x\ndisp 0\nsize 12\nquorum %s\nsubfiles 1\n4,5 {(0,11,12,1)}\n";
-  const auto with_quorum = [&](const std::string& header,
-                               const std::string& q) {
-    std::string text = header + "\n" + body;
+  const auto with_quorum = [&](const std::string& q) {
+    std::string text = "pfm-manifest 5\n" + body;
     text.replace(text.find("%s"), 2, q);
     return write(text);
   };
-  // A quorum line needs a version-3 header.
-  EXPECT_THROW(mm.load(with_quorum("pfm-manifest 2", "1")),
-               std::invalid_argument);
   // Zero, negative and non-numeric quorums are malformed (0 is expressed by
   // omitting the line, exactly as unreplicated files omit replica lists).
-  EXPECT_THROW(mm.load(with_quorum("pfm-manifest 3", "0")),
+  EXPECT_THROW(mm.load(with_quorum("0")),
                std::invalid_argument);
-  EXPECT_THROW(mm.load(with_quorum("pfm-manifest 3", "-1")),
+  EXPECT_THROW(mm.load(with_quorum("-1")),
                std::invalid_argument);
-  EXPECT_THROW(mm.load(with_quorum("pfm-manifest 3", "two")),
+  EXPECT_THROW(mm.load(with_quorum("two")),
                std::invalid_argument);
   // A quorum wider than the replica lists can never be met.
-  EXPECT_THROW(mm.load(with_quorum("pfm-manifest 3", "3")),
+  EXPECT_THROW(mm.load(with_quorum("3")),
                std::invalid_argument);
   // The same record with a satisfiable quorum loads.
-  EXPECT_NO_THROW(mm.load(with_quorum("pfm-manifest 3", "2")));
+  EXPECT_NO_THROW(mm.load(with_quorum("2")));
   EXPECT_EQ(mm.lookup("x").write_quorum, 2);
   std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------
-// Repair-advanced placement (manifest version 4)
+// Repair-advanced placement
 // ---------------------------------------------------------------------------
 
 TEST(Metadata, UpdatePlacementValidates) {
@@ -318,7 +336,6 @@ TEST(Metadata, UpdatePlacementValidates) {
   const FileRecord& after = mm.lookup("p");
   EXPECT_EQ(after.placement_epoch, 1);
   EXPECT_EQ(after.replica_nodes[0], (std::vector<int>{5, 6}));
-  EXPECT_EQ(after.io_nodes[0], 5);  // primary follows the new list
 
   // The epoch must advance.
   EXPECT_THROW(mm.update_placement("p", {{5, 6}, {5, 6}, {6, 7}, {7, 5}}, 1),
@@ -349,16 +366,6 @@ TEST(Metadata, PlacedManifestRoundTrip) {
   mm.update_placement("healed", {{5, 6}, {5, 6}, {6, 7}, {7, 5}}, 3);
   mm.save(manifest);
 
-  // The header advertises version 4 exactly because a record carries a
-  // repair-advanced placement epoch.
-  {
-    std::ifstream is(manifest);
-    std::string magic;
-    int version = 0;
-    is >> magic >> version;
-    EXPECT_EQ(version, 4);
-  }
-
   MetadataManager back;
   back.load(manifest);
   const FileRecord& h = back.lookup("healed");
@@ -367,21 +374,6 @@ TEST(Metadata, PlacedManifestRoundTrip) {
             (std::vector<std::vector<int>>{{5, 6}, {5, 6}, {6, 7}, {7, 5}}));
   EXPECT_EQ(h.write_quorum, 1);
   EXPECT_EQ(back.lookup("plain").placement_epoch, 0);
-
-  // Epoch-0 records never advance the format: quorum alone still saves 3.
-  MetadataManager v3;
-  FileRecord flat = sample_record("sloppy", Partition2D::kRowBlocks);
-  flat.replica_nodes = {{4, 5}, {5, 6}, {6, 7}, {7, 4}};
-  flat.write_quorum = 1;
-  v3.create(flat);
-  v3.save(manifest);
-  {
-    std::ifstream is(manifest);
-    std::string magic;
-    int version = 0;
-    is >> magic >> version;
-    EXPECT_EQ(version, 3);
-  }
 
   std::filesystem::remove_all(dir);
 }
@@ -399,30 +391,21 @@ TEST(Metadata, LoadRejectsMalformedPlacements) {
   MetadataManager mm;
   const std::string body =
       "file x\ndisp 0\nsize 12\nplacement %s\nsubfiles 1\n4,5 {(0,11,12,1)}\n";
-  const auto with_placement = [&](const std::string& header,
-                                  const std::string& e) {
-    std::string text = header + "\n" + body;
+  const auto with_placement = [&](const std::string& e) {
+    std::string text = "pfm-manifest 5\n" + body;
     text.replace(text.find("%s"), 2, e);
     return write(text);
   };
-  // A placement line needs a version-4 header: every pre-4 reader rejects
-  // it rather than silently dropping the repaired placement.
-  EXPECT_THROW(mm.load(with_placement("pfm-manifest 1", "1")),
-               std::invalid_argument);
-  EXPECT_THROW(mm.load(with_placement("pfm-manifest 2", "1")),
-               std::invalid_argument);
-  EXPECT_THROW(mm.load(with_placement("pfm-manifest 3", "1")),
-               std::invalid_argument);
   // Zero, negative and non-numeric epochs are malformed (epoch 0 is
   // expressed by omitting the line).
-  EXPECT_THROW(mm.load(with_placement("pfm-manifest 4", "0")),
+  EXPECT_THROW(mm.load(with_placement("0")),
                std::invalid_argument);
-  EXPECT_THROW(mm.load(with_placement("pfm-manifest 4", "-2")),
+  EXPECT_THROW(mm.load(with_placement("-2")),
                std::invalid_argument);
-  EXPECT_THROW(mm.load(with_placement("pfm-manifest 4", "soon")),
+  EXPECT_THROW(mm.load(with_placement("soon")),
                std::invalid_argument);
   // The same record with a positive epoch loads.
-  EXPECT_NO_THROW(mm.load(with_placement("pfm-manifest 4", "7")));
+  EXPECT_NO_THROW(mm.load(with_placement("7")));
   EXPECT_EQ(mm.lookup("x").placement_epoch, 7);
   std::filesystem::remove_all(dir);
 }
@@ -476,16 +459,6 @@ TEST(Metadata, MembershipManifestRoundTrip) {
   mm.update_membership("elastic", 4, {8, 9});
   mm.save(manifest);
 
-  // The header advertises version 5 exactly because a record carries
-  // elastic-membership state.
-  {
-    std::ifstream is(manifest);
-    std::string magic;
-    int version = 0;
-    is >> magic >> version;
-    EXPECT_EQ(version, 5);
-  }
-
   MetadataManager back;
   back.load(manifest);
   const FileRecord& e = back.lookup("elastic");
@@ -497,22 +470,6 @@ TEST(Metadata, MembershipManifestRoundTrip) {
             (std::vector<std::vector<int>>{{5, 6}, {5, 6}, {6, 7}, {7, 5}}));
   EXPECT_EQ(back.lookup("plain").ring_epoch, 0);
   EXPECT_TRUE(back.lookup("plain").retired_nodes.empty());
-
-  // Records without membership state never advance the format: the same
-  // placement-epoch record alone still saves 4.
-  MetadataManager v4;
-  FileRecord placed = sample_record("healed", Partition2D::kRowBlocks);
-  placed.replica_nodes = {{4, 5}, {5, 6}, {6, 7}, {7, 4}};
-  v4.create(placed);
-  v4.update_placement("healed", {{5, 6}, {5, 6}, {6, 7}, {7, 5}}, 3);
-  v4.save(manifest);
-  {
-    std::ifstream is(manifest);
-    std::string magic;
-    int version = 0;
-    is >> magic >> version;
-    EXPECT_EQ(version, 4);
-  }
 
   std::filesystem::remove_all(dir);
 }
@@ -528,36 +485,24 @@ TEST(Metadata, LoadRejectsMalformedMembership) {
     return path;
   };
   MetadataManager mm;
-  const auto manifest = [&](const std::string& header,
-                            const std::string& lines,
-                            const std::string& nodes = "4,5") {
-    return write(header + "\nfile x\ndisp 0\nsize 12\n" + lines +
-                 "subfiles 1\n" + nodes + " {(0,11,12,1)}\n");
+  const auto manifest = [&](const std::string& lines) {
+    return write("pfm-manifest 5\nfile x\ndisp 0\nsize 12\n" + lines +
+                 "subfiles 1\n4,5 {(0,11,12,1)}\n");
   };
-  // ring / retired lines need a version-5 header: every pre-5 reader
-  // rejects them rather than silently dropping the membership state.
-  for (const char* old : {"pfm-manifest 1", "pfm-manifest 2",
-                          "pfm-manifest 3", "pfm-manifest 4"}) {
-    EXPECT_THROW(mm.load(manifest(old, "ring 1\n")), std::invalid_argument);
-    EXPECT_THROW(mm.load(manifest(old, "retired 9\n")),
-                 std::invalid_argument);
-  }
   // Epoch 0 is expressed by omitting the line; zero/negative/garbage are
   // malformed, as are duplicate or placement-referenced retired nodes.
-  EXPECT_THROW(mm.load(manifest("pfm-manifest 5", "ring 0\n")),
+  EXPECT_THROW(mm.load(manifest("ring 0\n")),
                std::invalid_argument);
-  EXPECT_THROW(mm.load(manifest("pfm-manifest 5", "ring -1\n")),
+  EXPECT_THROW(mm.load(manifest("ring -1\n")),
                std::invalid_argument);
-  EXPECT_THROW(mm.load(manifest("pfm-manifest 5", "ring soon\n")),
+  EXPECT_THROW(mm.load(manifest("ring soon\n")),
                std::invalid_argument);
-  EXPECT_THROW(mm.load(manifest("pfm-manifest 5", "retired 9,9\n")),
+  EXPECT_THROW(mm.load(manifest("retired 9,9\n")),
                std::invalid_argument);
-  EXPECT_THROW(mm.load(manifest("pfm-manifest 5", "ring 2\nretired 5\n")),
+  EXPECT_THROW(mm.load(manifest("ring 2\nretired 5\n")),
                std::invalid_argument);  // 5 still holds a replica of x
-  EXPECT_THROW(mm.load(manifest("pfm-manifest 6", "ring 1\n")),
-               std::invalid_argument);  // future version
   // The well-formed equivalent loads.
-  EXPECT_NO_THROW(mm.load(manifest("pfm-manifest 5", "ring 2\nretired 9\n")));
+  EXPECT_NO_THROW(mm.load(manifest("ring 2\nretired 9\n")));
   EXPECT_EQ(mm.lookup("x").ring_epoch, 2);
   EXPECT_EQ(mm.lookup("x").retired_nodes, (std::vector<int>{9}));
   std::filesystem::remove_all(dir);
@@ -784,6 +729,45 @@ TEST(Metadata, ApplyJournalRecordRejectsMalformedPayloads) {
   EXPECT_NO_THROW(mm.apply_journal_record("remove ghost"));
   EXPECT_NO_THROW(mm.apply_journal_record("size ghost 42"));
   EXPECT_EQ(mm.count(), 0u);
+}
+
+TEST(Metadata, JournalPlacementReplayKeepsLoaderInvariants) {
+  // Replay must never build a state whose own checkpoint load() rejects.
+  using Rows = std::vector<std::vector<int>>;
+  MetadataManager mm;
+  // A fresh placement onto a retired node is malformed.
+  mm.apply_journal_record(
+      "create r\ndisp 0\nsize 12\nring 1\nretired 9\nsubfiles 2\n"
+      "4 {(0,5,12,1)}\n5 {(6,11,12,1)}\n");
+  EXPECT_THROW(mm.apply_journal_record("placement r 1 2\n9\n5\n"),
+               std::invalid_argument);
+  EXPECT_EQ(mm.lookup("r").replica_nodes, (Rows{{4}, {5}}));
+  EXPECT_EQ(mm.lookup("r").placement_epoch, 0);
+  // So is one that leaves `quorum 2` on 1-node rows.
+  mm.apply_journal_record(
+      "create q\ndisp 0\nsize 12\nquorum 2\nsubfiles 2\n"
+      "4,5 {(0,5,12,1)}\n5,6 {(6,11,12,1)}\n");
+  EXPECT_THROW(mm.apply_journal_record("placement q 1 2\n4\n5\n"),
+               std::invalid_argument);
+  EXPECT_EQ(mm.lookup("q").replica_nodes, (Rows{{4, 5}, {5, 6}}));
+  // A stale record (epoch <= current) naming a since-retired node is one the
+  // checkpoint already folded in: it replays as a no-op.
+  mm.apply_journal_record(
+      "create s\ndisp 0\nsize 12\nring 2\nretired 9\nplacement 3\n"
+      "subfiles 2\n4 {(0,5,12,1)}\n5 {(6,11,12,1)}\n");
+  EXPECT_NO_THROW(mm.apply_journal_record("placement s 3 2\n9\n5\n"));
+  EXPECT_NO_THROW(mm.apply_journal_record("placement s 2 2\n9\n5\n"));
+  EXPECT_EQ(mm.lookup("s").replica_nodes, (Rows{{4}, {5}}));
+  EXPECT_EQ(mm.lookup("s").placement_epoch, 3);
+  // Whatever replay accepted still round-trips through a checkpoint.
+  {
+    const auto dir = fresh_dir("pfm_meta_replay_invariants");
+    mm.save(dir / "m.pfm");
+    MetadataManager back;
+    EXPECT_NO_THROW(back.load(dir / "m.pfm"));
+    EXPECT_EQ(back.count(), 3u);
+    fs::remove_all(dir);
+  }
 }
 
 }  // namespace
