@@ -107,4 +107,9 @@ std::size_t Channel::pending() const {
   return queue_.size();
 }
 
+std::size_t Channel::waiters() const {
+  MutexLock lock(mu_);
+  return waiters_;
+}
+
 }  // namespace pfm

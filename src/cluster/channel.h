@@ -56,6 +56,9 @@ class Channel {
 
   bool closed() const PFM_EXCLUDES(mu_);
   std::size_t pending() const PFM_EXCLUDES(mu_);
+  /// Threads currently blocked inside send/receive (tests use it to know a
+  /// peer is parked before they tear the channel down).
+  std::size_t waiters() const PFM_EXCLUDES(mu_);
 
  private:
   mutable Mutex mu_{"Channel::mu"};

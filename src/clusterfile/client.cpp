@@ -67,7 +67,7 @@ void ClusterfileClient::maybe_refresh_placement() {
   // re-installs the view in-band.
   replicas_ = placement_.snapshot_with_epoch(&placement_seen_);
   // A rebalance may have migrated a subfile slot off a node entirely. A
-  // pending straggler aimed at the old holder would complete a write on a
+  // background straggler aimed at the old holder would complete a write on a
   // copy the placement retired, and scrub debt against it would point scrub
   // at a replica that no longer exists — purge both. No divergence is lost:
   // the migration's catch-up sync carried everything the new holder missed.
@@ -78,13 +78,11 @@ void ClusterfileClient::maybe_refresh_placement() {
   std::erase_if(scrub_debt_, [&](const std::pair<int, int>& debt) {
     return !holds(debt.first, debt.second);
   });
-  std::vector<std::uint64_t> stale;
-  for (const auto& [id, s] : stragglers_)
-    if (!holds(s.subfile, s.io_node)) stale.push_back(id);
-  for (const std::uint64_t id : stale) {
-    stragglers_.erase(id);
-    ++stragglers_purged_;
-  }
+  stragglers_purged_ += static_cast<std::int64_t>(
+      std::erase_if(pending_, [&](const auto& kv) {
+        return kv.second.background &&
+               !holds(kv.second.subfile, kv.second.io_node);
+      }));
 }
 
 std::vector<int> ClusterfileClient::take_scrub_debt() {
@@ -281,26 +279,12 @@ void ClusterfileClient::seal(Message& msg, std::uint64_t req_id) {
   if (net_.checksums_enabled()) stamp_checksum(msg);
 }
 
-void ClusterfileClient::transact(
-    std::vector<TxReq> reqs, std::size_t group_count, MsgKind expected,
-    int quorum,
-    const std::function<Message(std::size_t)>& rebuild,
-    const std::function<std::optional<Message>(std::size_t)>& reinstall,
-    AccessTimings& t, std::vector<Message>* replies) {
-  const std::size_t n = reqs.size();
-  if (replies != nullptr) replies->assign(n, Message{});
-  t.per_subfile.assign(group_count, SubfileAccess{});
-
-  // One delivery budget for the whole access: every deadline — retries,
-  // failovers, view re-installs, straggler retransmits — is clipped to
-  // `hard_deadline` (the summed backoff schedule), so a target's replica
-  // chain burns one schedule total, never chain-length × schedule.
-  const Clock::time_point start = Clock::now();
-  const Clock::time_point hard_deadline = start + policy_.budget();
-
-  /// Per-group (per-target) outcome accumulator: a group succeeds while at
-  /// least one of its requests completes, degrades when a replica is lost
-  /// along the way, and fails only when every request is abandoned.
+/// Per-call state of one transact: the closures foreground entries
+/// regenerate through, and the per-group (per-target) outcome accumulators.
+/// A group succeeds while at least one of its requests completes, degrades
+/// when a replica is lost along the way, and fails only when every request
+/// is abandoned.
+struct ClusterfileClient::Call {
   struct GroupState {
     int total = 0;
     int ok = 0;
@@ -311,348 +295,74 @@ void ClusterfileClient::transact(
     bool retried = false;
     bool timed_out = false;
     std::string error;  ///< first failure reason
+    /// Created on the group's demotion, shared with its stragglers.
+    std::shared_ptr<bool> short_flag;
   };
-  std::vector<GroupState> groups(group_count);
-  /// Created on a group's first demotion and shared with every straggler it
-  /// sheds, so the first abandonment — and only the first — counts the
-  /// group as quorum_short.
-  std::vector<std::shared_ptr<bool>> group_short(group_count);
+  MsgKind expected;
+  int quorum;
+  const std::function<Message(std::size_t)>& rebuild;
+  const std::function<std::optional<Message>(std::size_t)>& reinstall;
+  AccessTimings& t;
+  std::vector<Message>* replies;
+  std::vector<GroupState> groups;
+};
 
-  /// In-flight request bookkeeping, keyed by req_id. An `aux` entry is a
-  /// kSetView re-install launched to recover a primary request from
-  /// kUnknownView; its `partner` is the paused primary's req_id (and vice
-  /// versa while the primary waits). `io_node` is the node currently
-  /// serving the request — a failover retargets it down `backups`, and
-  /// `attempts` keeps counting across the move.
-  struct Pend {
-    std::size_t index = 0;
-    std::size_t group = 0;
-    bool is_aux = false;
-    bool waiting_view = false;
-    std::uint64_t partner = 0;
-    int attempts = 1;
-    int io_node = -1;
-    std::vector<int> backups;
-    Clock::time_point deadline;
-  };
-  std::unordered_map<std::uint64_t, Pend> pend;
-  pend.reserve(n);
+void ClusterfileClient::transact(
+    std::vector<TxReq> reqs, std::size_t group_count, MsgKind expected,
+    int quorum,
+    const std::function<Message(std::size_t)>& rebuild,
+    const std::function<std::optional<Message>(std::size_t)>& reinstall,
+    AccessTimings& t, std::vector<Message>* replies) {
+  const std::size_t n = reqs.size();
+  if (replies != nullptr) replies->assign(n, Message{});
+  t.per_subfile.assign(group_count, SubfileAccess{});
+  Call call{expected, quorum, rebuild, reinstall, t, replies,
+            std::vector<Call::GroupState>(group_count)};
+  // Foreground entries point at this call's closures and the caller's
+  // buffer: however transact leaves (an unreachable node or a closed
+  // network throws), none of them may outlive it.
+  class CallScope {
+   public:
+    CallScope(ClusterfileClient& c, Call& call) : c_(c) { c_.call_ = &call; }
+    ~CallScope() {
+      std::erase_if(c_.pending_,
+                    [](const auto& kv) { return !kv.second.background; });
+      c_.call_ = nullptr;
+    }
+    CallScope(const CallScope&) = delete;
+    CallScope& operator=(const CallScope&) = delete;
 
-  const auto entry_deadline = [&](int attempt) {
-    return std::min(Clock::now() + policy_.timeout_for(attempt),
-                    hard_deadline);
-  };
-  const auto make_request = [&](const Pend& p) {
-    Message m;
-    if (!p.is_aux) {
-      m = rebuild(p.index);
-    } else {
-      std::optional<Message> r = reinstall(p.index);
-      PFM_CHECK(r.has_value(), "transact: lost re-install template");
-      m = std::move(*r);
-    }
-    // transact owns routing: after a failover the regenerated message goes
-    // to the replica now serving the request, not the original target.
-    m.dst_node = p.io_node;
-    return m;
-  };
-  const auto fail_request = [&](std::uint64_t id, const std::string& why,
-                                bool timed_out) {
-    const auto it = pend.find(id);
-    if (it == pend.end()) return;
-    Pend& p = it->second;
-    GroupState& g = groups[p.group];
-    ++g.failed;
-    g.max_attempts = std::max(g.max_attempts, p.attempts);
-    if (g.error.empty()) {
-      g.error = why;
-      g.timed_out = timed_out;
-    }
-    pend.erase(it);
-  };
-  // Terminal outcome for a request on its current node: fail over to the
-  // next backup replica while attempts and budget remain, otherwise record
-  // the loss. Attempts carry across the move — the chain shares one
-  // delivery schedule.
-  const auto fail_or_failover = [&](std::uint64_t id, const std::string& why,
-                                    bool timed_out) {
-    const auto it = pend.find(id);
-    if (it == pend.end()) return;
-    Pend& p = it->second;
-    GroupState& g = groups[p.group];
-    g.max_attempts = std::max(g.max_attempts, p.attempts);
-    if (p.backups.empty() || p.attempts >= policy_.max_attempts ||
-        Clock::now() >= hard_deadline) {
-      fail_request(id, why, timed_out);
-      return;
-    }
-    ++g.failovers;
-    ++t.rel.failovers;
-    ++p.attempts;
-    p.io_node = p.backups.front();
-    p.backups.erase(p.backups.begin());
-    p.waiting_view = false;
-    Message msg = make_request(p);
-    seal(msg, id);  // same req_id: a late reply from the old node is stale
-    p.deadline = entry_deadline(p.attempts);
-    send_or_throw(std::move(msg));
-  };
+   private:
+    ClusterfileClient& c_;
+  } scope(*this, call);
 
-  // Quorum met for group `gi`: demote its outstanding fan-out requests to
-  // the background completion set. Each keeps its req_id (so servers dedup
-  // a late original crossing a retransmit, and a late ack still matches),
-  // its attempt count and its schedule; the retransmit copy is materialized
-  // NOW, while the caller's buffer behind rebuild() is still alive. Aux
-  // view re-installs of demoted primaries are dropped — a straggler that
-  // lands on kUnknownView is abandoned to scrub instead of re-installing.
-  const auto demote_group = [&](std::size_t gi) {
-    std::vector<std::uint64_t> members;
-    for (const auto& [id, p] : pend)
-      if (p.group == gi) members.push_back(id);
-    for (const std::uint64_t id : members) {
-      const auto it = pend.find(id);
-      if (it == pend.end()) continue;
-      Pend& p = it->second;
-      if (p.is_aux) {
-        pend.erase(it);
-        continue;
-      }
-      if (!group_short[gi]) group_short[gi] = std::make_shared<bool>(false);
-      Straggler s;
-      s.subfile = t.per_subfile[gi].subfile;
-      s.io_node = p.io_node;
-      s.attempts = p.attempts;
-      s.deadline = p.waiting_view ? entry_deadline(p.attempts) : p.deadline;
-      s.hard_deadline = hard_deadline;
-      s.group_short = group_short[gi];
-      Message m = make_request(p);
-      seal(m, id);
-      s.msg = std::move(m);
-      stragglers_.emplace(id, std::move(s));
-      ++t.stragglers;
-      pend.erase(it);
-    }
-  };
-
+  // One delivery budget for the whole access: every deadline — retries,
+  // failovers, view re-installs, straggler retransmits — is clipped to the
+  // summed backoff schedule, so a target's replica chain burns one
+  // schedule total, never chain-length × schedule.
+  const Clock::time_point hard_deadline = Clock::now() + policy_.budget();
   for (std::size_t i = 0; i < n; ++i) {
-    Message msg = std::move(reqs[i].msg);
-    const std::uint64_t id = next_req_id();
-    Pend p;
+    Pending p;
     p.index = i;
     p.group = reqs[i].group;
-    p.io_node = msg.dst_node;
+    p.subfile = reqs[i].msg.subfile;
     p.backups = std::move(reqs[i].backups);
-    p.deadline = entry_deadline(1);
-    GroupState& g = groups[p.group];
+    p.hard_deadline = hard_deadline;
+    Call::GroupState& g = call.groups[p.group];
     ++g.total;
     SubfileAccess& s = t.per_subfile[p.group];
-    s.subfile = msg.subfile;
-    if (g.total == 1) s.io_node = msg.dst_node;  // the primary names the group
-    seal(msg, id);
-    pend.emplace(id, p);
-    send_or_throw(std::move(msg));
+    s.subfile = p.subfile;
+    if (g.total == 1) s.io_node = reqs[i].msg.dst_node;  // primary names it
+    launch(std::move(p), std::move(reqs[i].msg));
   }
-
-  Channel& inbox = net_.inbox(node_id_);
-  while (!pend.empty()) {
-    // The next actionable deadline, straggler retransmits included (they
-    // ride along on whatever wait this access does anyway); primaries
-    // paused behind a view re-install are driven by their aux request's
-    // deadline instead.
-    Clock::time_point next = straggler_next_deadline();
-    for (const auto& [id, p] : pend)
-      if (!p.waiting_view) next = std::min(next, p.deadline);
-    const Clock::time_point now = Clock::now();
-
-    if (next <= now) {
-      straggler_handle_timeouts(now);
-      std::vector<std::uint64_t> expired;
-      for (const auto& [id, p] : pend)
-        if (!p.waiting_view && p.deadline <= now) expired.push_back(id);
-      for (const std::uint64_t id : expired) {
-        const auto it = pend.find(id);
-        if (it == pend.end()) continue;
-        Pend& p = it->second;
-        ++t.rel.timeouts;
-        if (p.attempts >= policy_.max_attempts || now >= hard_deadline) {
-          const std::string why =
-              "I/O node " + std::to_string(p.io_node) + " unresponsive after " +
-              std::to_string(p.attempts) + " attempts";
-          if (p.is_aux) {
-            const std::uint64_t parent = p.partner;
-            pend.erase(it);
-            fail_or_failover(parent, why, /*timed_out=*/true);
-          } else {
-            fail_or_failover(id, why, /*timed_out=*/true);
-          }
-          continue;
-        }
-        ++p.attempts;
-        if (!p.is_aux && !p.backups.empty()) {
-          // A backup is available: moving there beats hammering a node
-          // that just missed a deadline — the chain shares one budget, so
-          // spreading the attempts maximizes the replicas actually tried.
-          // The chain is round-robin: the node that just timed out rejoins
-          // the tail, so one dropped reply from a live node can't strand
-          // the remaining attempts on a dead backup.
-          GroupState& g = groups[p.group];
-          ++g.failovers;
-          ++t.rel.failovers;
-          const int prev = p.io_node;
-          p.io_node = p.backups.front();
-          p.backups.erase(p.backups.begin());
-          p.backups.push_back(prev);
-          p.waiting_view = false;
-        } else {
-          ++t.rel.retries;
-        }
-        Message msg = make_request(p);
-        seal(msg, id);  // same req_id: the server replays, never re-applies
-        p.deadline = entry_deadline(p.attempts);
-        send_or_throw(std::move(msg));
-      }
-      continue;
-    }
-
-    auto msg = inbox.receive_for(next - now);
-    if (!msg.has_value()) {
-      if (inbox.closed())
-        throw std::runtime_error(
-            "ClusterfileClient: network closed while waiting");
-      continue;  // deadline pass happens at the top of the loop
-    }
-
-    if (!verify_checksum(*msg)) {
-      // A corrupted reply: the request itself succeeded server-side, so
-      // resend right away (idempotent) instead of waiting out the timer.
-      ++t.rel.corruptions_detected;
-      const auto it = pend.find(msg->req_id);
-      if (it != pend.end() && !it->second.waiting_view &&
-          it->second.attempts < policy_.max_attempts) {
-        Pend& p = it->second;
-        ++p.attempts;
-        ++t.rel.retries;
-        Message resend = make_request(p);
-        seal(resend, msg->req_id);
-        p.deadline = entry_deadline(p.attempts);
-        send_or_throw(std::move(resend));
-      } else if (it == pend.end()) {
-        straggler_handle_corrupt_reply(msg->req_id);
-      }
-      continue;
-    }
-
-    const auto it = pend.find(msg->req_id);
-    if (it == pend.end()) {
-      // Not ours — unless a background straggler is waiting for it.
-      if (straggler_handle_reply(std::move(*msg))) continue;
-      // Duplicate or late reply for a request already completed (or one we
-      // never sent): discard. This used to be a fatal logic_error.
-      ++t.rel.stale_replies;
-      continue;
-    }
-    Pend& p = it->second;
-
-    if (msg->kind == MsgKind::kError) {
-      if (msg->err == ErrCode::kUnknownView && !p.is_aux && !p.waiting_view &&
-          p.attempts < policy_.max_attempts) {
-        // The server lost its projections (crash/restart): re-install the
-        // view, then resend the request once the re-install is acked.
-        std::optional<Message> setv = reinstall(p.index);
-        if (setv.has_value()) {
-          ++t.rel.view_reinstalls;
-          const std::uint64_t aux_id = next_req_id();
-          Pend aux;
-          aux.index = p.index;
-          aux.group = p.group;
-          aux.is_aux = true;
-          aux.partner = msg->req_id;
-          // The re-install goes to whichever replica is serving the
-          // request right now, not the original primary.
-          aux.io_node = p.io_node;
-          aux.deadline = entry_deadline(1);
-          p.waiting_view = true;
-          p.partner = aux_id;
-          Message m = std::move(*setv);
-          m.dst_node = p.io_node;
-          seal(m, aux_id);
-          pend.emplace(aux_id, aux);
-          send_or_throw(std::move(m));
-          continue;
-        }
-      }
-      if ((msg->err == ErrCode::kBadChecksum ||
-           msg->err == ErrCode::kIoError) &&
-          p.attempts < policy_.max_attempts) {
-        // The server caught a corrupted request (resend it) or its storage
-        // EIO'd transiently (errors are never reply-cached, so the resend
-        // re-executes).
-        if (msg->err == ErrCode::kBadChecksum) ++t.rel.corruptions_detected;
-        ++p.attempts;
-        ++t.rel.retries;
-        Message resend = make_request(p);
-        seal(resend, msg->req_id);
-        p.deadline = entry_deadline(p.attempts);
-        send_or_throw(std::move(resend));
-        continue;
-      }
-      // Terminal for this replica — including kCorruptData, where a resend
-      // would re-read the same rotten bytes: move to a backup if one is
-      // left.
-      const std::string why =
-          "server reported " + std::string(to_string(msg->err)) + ": " + msg->meta;
-      if (p.is_aux) {
-        const std::uint64_t parent = p.partner;
-        pend.erase(it);
-        fail_or_failover(parent, why, /*timed_out=*/false);
-      } else {
-        fail_or_failover(msg->req_id, why, /*timed_out=*/false);
-      }
-      continue;
-    }
-
-    if (p.is_aux) {
-      if (msg->kind != MsgKind::kAck) {
-        ++t.rel.stale_replies;
-        continue;
-      }
-      // View re-installed: resume the paused primary with a fresh attempt.
-      const std::uint64_t parent = p.partner;
-      pend.erase(it);
-      const auto pit = pend.find(parent);
-      if (pit == pend.end()) continue;
-      Pend& pri = pit->second;
-      pri.waiting_view = false;
-      ++pri.attempts;
-      ++t.rel.retries;
-      Message resend = make_request(pri);
-      seal(resend, parent);
-      pri.deadline = entry_deadline(pri.attempts);
-      send_or_throw(std::move(resend));
-      continue;
-    }
-
-    if (msg->kind != expected) {
-      ++t.rel.stale_replies;
-      continue;
-    }
-    GroupState& g = groups[p.group];
-    ++g.ok;
-    g.max_attempts = std::max(g.max_attempts, p.attempts);
-    if (p.attempts > 1) g.retried = true;
-    g.served_by = p.io_node;
-    if (replies != nullptr) (*replies)[p.index] = std::move(*msg);
-    const std::size_t gi = p.group;
-    pend.erase(it);
-    if (quorum > 0 && g.ok >= std::min(quorum, g.total)) demote_group(gi);
-  }
+  pump();
 
   // Collapse per-request outcomes into one status per group: an access is
   // kFailed only when a target lost *every* replica; losing some — or
   // serving a read from a backup — is kDegraded, correct data at a
   // reliability cost.
   for (std::size_t gi = 0; gi < group_count; ++gi) {
-    const GroupState& g = groups[gi];
+    const Call::GroupState& g = call.groups[gi];
     SubfileAccess& s = t.per_subfile[gi];
     s.attempts = g.max_attempts;
     s.failovers = g.failovers;
@@ -687,133 +397,323 @@ void ClusterfileClient::transact(
   }
 }
 
-ClusterfileClient::Clock::time_point
-ClusterfileClient::straggler_next_deadline() const {
-  Clock::time_point next = Clock::time_point::max();
-  for (const auto& [id, s] : stragglers_) next = std::min(next, s.deadline);
-  return next;
+void ClusterfileClient::drain_stragglers() {
+  AccessCanary::Scope guard(canary_);
+  pump();
 }
 
-void ClusterfileClient::straggler_handle_timeouts(Clock::time_point now) {
-  std::vector<std::uint64_t> expired;
-  for (const auto& [id, s] : stragglers_)
-    if (s.deadline <= now) expired.push_back(id);
-  for (const std::uint64_t id : expired) {
-    const auto it = stragglers_.find(id);
-    if (it == stragglers_.end()) continue;
-    Straggler& s = it->second;
-    ++rel_.timeouts;
-    if (s.attempts >= policy_.max_attempts || now >= s.hard_deadline) {
-      straggler_abandon(id);
+std::size_t ClusterfileClient::stragglers_pending() const {
+  return static_cast<std::size_t>(
+      std::count_if(pending_.begin(), pending_.end(),
+                    [](const auto& kv) { return kv.second.background; }));
+}
+
+void ClusterfileClient::pump() {
+  Channel& inbox = net_.inbox(node_id_);
+  for (;;) {
+    // The next actionable deadline, background entries included (they ride
+    // along on whatever wait an access does anyway); primaries paused
+    // behind a view re-install are driven by their aux entry's deadline.
+    Clock::time_point next = Clock::time_point::max();
+    bool waiting = false;
+    for (const auto& [id, p] : pending_) {
+      waiting = waiting || call_ == nullptr || !p.background;
+      if (!p.waiting_view) next = std::min(next, p.deadline);
+    }
+    if (!waiting) return;
+    const Clock::time_point now = Clock::now();
+    if (next <= now) {
+      on_timeouts(now);
       continue;
     }
-    ++s.attempts;
-    ++rel_.retries;
-    Message copy = s.msg;  // sealed: same req_id, checksum already stamped
-    s.deadline =
-        std::min(now + policy_.timeout_for(s.attempts), s.hard_deadline);
-    // A closed destination inbox means the node crashed mid-straggler: no
-    // ack can ever arrive, so hand the subfile to scrub instead of looping.
-    if (!net_.send(node_id_, std::move(copy))) straggler_abandon(id);
-  }
-}
-
-bool ClusterfileClient::straggler_handle_reply(Message&& msg) {
-  const auto it = stragglers_.find(msg.req_id);
-  if (it == stragglers_.end()) return false;
-  Straggler& s = it->second;
-  if (msg.kind == MsgKind::kError) {
-    if ((msg.err == ErrCode::kBadChecksum || msg.err == ErrCode::kIoError) &&
-        s.attempts < policy_.max_attempts && Clock::now() < s.hard_deadline) {
-      // Transient server-side trouble: the retry schedule keeps going.
-      if (msg.err == ErrCode::kBadChecksum) ++rel_.corruptions_detected;
-      ++s.attempts;
-      ++rel_.retries;
-      Message copy = s.msg;
-      s.deadline = std::min(Clock::now() + policy_.timeout_for(s.attempts),
-                            s.hard_deadline);
-      if (!net_.send(node_id_, std::move(copy))) straggler_abandon(msg.req_id);
-      return true;
+    auto msg = inbox.receive_for(next - now);
+    if (msg.has_value()) {
+      on_reply(std::move(*msg));
+    } else if (inbox.closed()) {
+      if (call_ != nullptr)
+        throw std::runtime_error(
+            "ClusterfileClient: network closed while waiting");
+      // Draining with the network gone: no ack can arrive. Abandon
+      // everything so the table empties and scrub knows what it owes.
+      while (!pending_.empty()) abandon(pending_.begin());
+      return;
     }
-    // Terminal — kUnknownView included: the quorum already carried the
-    // write, so instead of a re-install dance for a background copy the
-    // replica is abandoned to scrub, which repairs it from a peer.
-    straggler_abandon(msg.req_id);
-    return true;
   }
-  if (msg.kind != MsgKind::kAck) return false;
-  ++stragglers_completed_;
-  stragglers_.erase(it);
+}
+
+void ClusterfileClient::on_timeouts(Clock::time_point now) {
+  std::vector<std::uint64_t> expired;
+  for (const auto& [id, p] : pending_)
+    if (!p.waiting_view && p.deadline <= now) expired.push_back(id);
+  for (const std::uint64_t id : expired) {
+    const auto it = pending_.find(id);
+    if (it == pending_.end()) continue;
+    Pending& p = it->second;
+    ++counters_for(p).timeouts;
+    // A backup is available: moving there beats hammering a node that just
+    // missed a deadline — the chain shares one budget, so spreading the
+    // attempts maximizes the replicas actually tried. The chain is
+    // round-robin: the node that just timed out rejoins the tail, so one
+    // dropped reply from a live node can't strand the remaining attempts on
+    // a dead backup.
+    const bool move = !p.background && !p.is_aux && !p.backups.empty();
+    if (resend(id, p, move ? Retarget::kRotate : Retarget::kNone)) continue;
+    give_up(id,
+            "I/O node " + std::to_string(p.io_node) + " unresponsive after " +
+                std::to_string(p.attempts) + " attempts",
+            /*timed_out=*/true);
+  }
+}
+
+void ClusterfileClient::on_reply(Message&& msg) {
+  const std::uint64_t id = msg.req_id;
+  const auto it = pending_.find(id);
+  if (it == pending_.end()) {
+    // Duplicate or late reply for a request already completed (or one we
+    // never sent): discard, never fatal.
+    ReliabilityCounters& rel = call_ != nullptr ? call_->t.rel : rel_;
+    ++(verify_checksum(msg) ? rel.stale_replies : rel.corruptions_detected);
+    return;
+  }
+  Pending& p = it->second;
+  ReliabilityCounters& rel = counters_for(p);
+
+  if (!verify_checksum(msg)) {
+    // A corrupted reply: the request itself succeeded server-side, so
+    // resend right away (idempotent) instead of waiting out the timer.
+    ++rel.corruptions_detected;
+    if (p.waiting_view || resend(id, p)) return;
+    give_up(id,
+            "replies from I/O node " + std::to_string(p.io_node) +
+                " failed their checksum after " + std::to_string(p.attempts) +
+                " attempts",
+            /*timed_out=*/false);
+    return;
+  }
+
+  if (msg.kind == MsgKind::kError) {
+    if (msg.err == ErrCode::kUnknownView && !p.background && !p.is_aux &&
+        !p.waiting_view && p.attempts < policy_.max_attempts) {
+      // The server lost its projections (crash/restart): re-install the
+      // view on the replica serving the request right now, then resend
+      // the request once the re-install is acked.
+      std::optional<Message> setv = call_->reinstall(p.index);
+      if (setv.has_value()) {
+        ++rel.view_reinstalls;
+        Pending aux;
+        aux.index = p.index;
+        aux.group = p.group;
+        aux.subfile = p.subfile;
+        aux.is_aux = true;
+        aux.partner = id;
+        aux.hard_deadline = p.hard_deadline;
+        setv->dst_node = p.io_node;
+        p.waiting_view = true;
+        p.partner = launch(std::move(aux), std::move(*setv));
+        return;
+      }
+    }
+    // The server caught a corrupted request (resend it) or its storage
+    // EIO'd transiently (errors are never reply-cached, so the resend
+    // re-executes).
+    if ((msg.err == ErrCode::kBadChecksum || msg.err == ErrCode::kIoError) &&
+        resend(id, p)) {
+      if (msg.err == ErrCode::kBadChecksum) ++rel.corruptions_detected;
+      return;
+    }
+    // Terminal for this replica — including kCorruptData, where a resend
+    // would re-read the same rotten bytes (a foreground request moves to a
+    // backup if one is left), and kUnknownView for a background entry: the
+    // quorum already carried the write, so scrub repairs the replica
+    // instead of a re-install dance.
+    give_up(id,
+            "server reported " + std::string(to_string(msg.err)) + ": " +
+                msg.meta,
+            /*timed_out=*/false);
+    return;
+  }
+
+  if (p.is_aux) {
+    if (msg.kind != MsgKind::kAck) {
+      ++rel.stale_replies;
+      return;
+    }
+    // View re-installed: resume the paused primary with a fresh attempt.
+    const std::uint64_t parent = p.partner;
+    pending_.erase(it);
+    const auto pit = pending_.find(parent);
+    if (pit == pending_.end()) return;
+    Pending& pri = pit->second;
+    pri.waiting_view = false;
+    if (resend(parent, pri)) return;
+    give_up(parent,
+            "I/O node " + std::to_string(pri.io_node) +
+                " re-installed its view past the delivery budget",
+            /*timed_out=*/true);
+    return;
+  }
+
+  // Only write fan-out is ever demoted, so a background entry awaits an ack.
+  if (msg.kind != (p.background ? MsgKind::kAck : call_->expected)) {
+    ++rel.stale_replies;
+    return;
+  }
+  if (p.background) {
+    ++stragglers_completed_;
+    pending_.erase(it);
+    return;
+  }
+  Call::GroupState& g = call_->groups[p.group];
+  ++g.ok;
+  g.max_attempts = std::max(g.max_attempts, p.attempts);
+  if (p.attempts > 1) g.retried = true;
+  g.served_by = p.io_node;
+  if (call_->replies != nullptr) (*call_->replies)[p.index] = std::move(msg);
+  const std::size_t gi = p.group;
+  pending_.erase(it);
+  if (call_->quorum > 0 && g.ok >= std::min(call_->quorum, g.total))
+    demote(gi);
+}
+
+std::uint64_t ClusterfileClient::launch(Pending p, Message msg) {
+  const std::uint64_t id = next_req_id();
+  p.io_node = msg.dst_node;
+  p.deadline =
+      std::min(Clock::now() + policy_.timeout_for(1), p.hard_deadline);
+  seal(msg, id);
+  pending_.emplace(id, std::move(p));
+  send_or_throw(std::move(msg));
+  return id;
+}
+
+bool ClusterfileClient::resend(std::uint64_t id, Pending& p, Retarget to) {
+  const Clock::time_point now = Clock::now();
+  if (p.attempts >= policy_.max_attempts || now >= p.hard_deadline)
+    return false;
+  ReliabilityCounters& rel = counters_for(p);
+  ++p.attempts;
+  if (to == Retarget::kNone) {
+    ++rel.retries;
+  } else {
+    ++rel.failovers;
+    ++call_->groups[p.group].failovers;
+    const int prev = p.io_node;
+    p.io_node = p.backups.front();
+    p.backups.erase(p.backups.begin());
+    if (to == Retarget::kRotate) p.backups.push_back(prev);
+    p.waiting_view = false;
+  }
+  Message msg = request_for(p);
+  // Same req_id: a server replays its cached reply instead of re-applying,
+  // and a late reply from a node left behind is stale.
+  if (!p.background) seal(msg, id);
+  p.deadline = std::min(now + policy_.timeout_for(p.attempts), p.hard_deadline);
+  if (!p.background) {
+    send_or_throw(std::move(msg));
+  } else if (!net_.send(node_id_, std::move(msg))) {
+    // The node crashed mid-straggler: no ack can ever arrive, so hand the
+    // subfile to scrub instead of looping.
+    abandon(pending_.find(id));
+  }
   return true;
 }
 
-bool ClusterfileClient::straggler_handle_corrupt_reply(std::uint64_t req_id) {
-  const auto it = stragglers_.find(req_id);
-  if (it == stragglers_.end()) return false;
-  Straggler& s = it->second;
-  if (s.attempts >= policy_.max_attempts || Clock::now() >= s.hard_deadline) {
-    straggler_abandon(req_id);
-    return true;
+void ClusterfileClient::give_up(std::uint64_t id, const std::string& why,
+                                bool timed_out) {
+  const auto it = pending_.find(id);
+  if (it == pending_.end()) return;
+  Pending& p = it->second;
+  if (p.background) {
+    abandon(it);
+    return;
   }
-  ++s.attempts;
-  ++rel_.retries;
-  Message copy = s.msg;
-  s.deadline = std::min(Clock::now() + policy_.timeout_for(s.attempts),
-                        s.hard_deadline);
-  if (!net_.send(node_id_, std::move(copy))) straggler_abandon(req_id);
-  return true;
+  if (p.is_aux) {
+    const std::uint64_t parent = p.partner;
+    pending_.erase(it);
+    give_up(parent, why, timed_out);
+    return;
+  }
+  // Fail over to the next backup replica while the resend rule allows:
+  // attempts carry across the move — the chain shares one schedule.
+  Call::GroupState& g = call_->groups[p.group];
+  g.max_attempts = std::max(g.max_attempts, p.attempts);
+  if (!p.backups.empty() && resend(id, p, Retarget::kDrop)) return;
+  ++g.failed;
+  if (g.error.empty()) {
+    g.error = why;
+    g.timed_out = timed_out;
+  }
+  pending_.erase(it);
 }
 
-void ClusterfileClient::straggler_abandon(std::uint64_t req_id) {
-  const auto it = stragglers_.find(req_id);
-  if (it == stragglers_.end()) return;
-  Straggler& s = it->second;
+void ClusterfileClient::abandon(PendingMap::iterator it) {
+  const Pending& p = it->second;
   ++stragglers_abandoned_;
   ++rel_.replica_failures;
-  if (s.group_short && !*s.group_short) {
-    *s.group_short = true;
+  if (p.group_short && !*p.group_short) {
+    *p.group_short = true;
     ++rel_.quorum_short;
   }
   // Deduplicated: the same (subfile, node) abandoned across many retries
   // (or many groups) owes exactly one scrub, and the debt set stays bounded
   // by subfiles × replicas instead of growing with the failure rate.
-  const std::pair<int, int> owed{s.subfile, s.io_node};
+  const std::pair<int, int> owed{p.subfile, p.io_node};
   if (std::find(scrub_debt_.begin(), scrub_debt_.end(), owed) ==
       scrub_debt_.end())
     scrub_debt_.push_back(owed);
-  stragglers_.erase(it);
+  pending_.erase(it);
 }
 
-void ClusterfileClient::drain_stragglers() {
-  AccessCanary::Scope guard(canary_);
-  Channel& inbox = net_.inbox(node_id_);
-  while (!stragglers_.empty()) {
-    const Clock::time_point next = straggler_next_deadline();
-    const Clock::time_point now = Clock::now();
-    if (next <= now) {
-      straggler_handle_timeouts(now);
+void ClusterfileClient::demote(std::size_t group) {
+  // Each entry keeps its req_id (so servers dedup a late original crossing
+  // a retransmit, and a late ack still matches), its attempt count and its
+  // schedule; the retransmit copy is materialized NOW, while the caller's
+  // buffer behind rebuild() is still alive. Aux view re-installs are
+  // dropped — a straggler that lands on kUnknownView is abandoned to scrub
+  // instead of re-installing.
+  Call::GroupState& g = call_->groups[group];
+  for (auto it = pending_.begin(); it != pending_.end();) {
+    Pending& p = it->second;
+    if (p.background || p.group != group) {
+      ++it;
       continue;
     }
-    auto msg = inbox.receive_for(next - now);
-    if (!msg.has_value()) {
-      if (inbox.closed()) {
-        // The network is gone: no ack can arrive. Abandon everything so
-        // the pending set empties and scrub knows what it owes.
-        std::vector<std::uint64_t> ids;
-        ids.reserve(stragglers_.size());
-        for (const auto& [id, s] : stragglers_) ids.push_back(id);
-        for (const std::uint64_t id : ids) straggler_abandon(id);
-        return;
-      }
+    if (p.is_aux) {
+      it = pending_.erase(it);
       continue;
     }
-    if (!verify_checksum(*msg)) {
-      ++rel_.corruptions_detected;
-      straggler_handle_corrupt_reply(msg->req_id);
-      continue;
-    }
-    if (!straggler_handle_reply(std::move(*msg))) ++rel_.stale_replies;
+    if (!g.short_flag) g.short_flag = std::make_shared<bool>(false);
+    p.msg = request_for(p);
+    seal(p.msg, it->first);
+    if (p.waiting_view)
+      p.deadline = std::min(Clock::now() + policy_.timeout_for(p.attempts),
+                            p.hard_deadline);
+    p.waiting_view = false;
+    p.background = true;
+    p.group_short = g.short_flag;
+    ++call_->t.stragglers;
+    ++it;
   }
+}
+
+Message ClusterfileClient::request_for(const Pending& p) const {
+  if (p.background) return p.msg;  // sealed: same req_id, checksum stamped
+  Message m;
+  if (!p.is_aux) {
+    m = call_->rebuild(p.index);
+  } else {
+    std::optional<Message> r = call_->reinstall(p.index);
+    PFM_CHECK(r.has_value(), "transact: lost re-install template");
+    m = std::move(*r);
+  }
+  // transact owns routing: after a failover the regenerated message goes to
+  // the replica now serving the request, not the original target.
+  m.dst_node = p.io_node;
+  return m;
+}
+
+ReliabilityCounters& ClusterfileClient::counters_for(const Pending& p) {
+  return p.background ? rel_ : call_->t.rel;
 }
 
 ClusterfileClient::AccessTimings ClusterfileClient::write(

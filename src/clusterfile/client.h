@@ -40,13 +40,16 @@
 //
 // Quorum writes (DESIGN.md "Replication, re-sync and scrub"): with
 // FileMeta::write_quorum = W in [1, replication), a write group completes
-// as soon as W replicas acked; the remaining fan-out requests are demoted
-// to background stragglers that keep their retry schedule and are pumped
-// whenever the client waits on the network (and by drain_stragglers()). A
-// straggler that completes late is deduplicated server-side by req_id; one
-// abandoned past its schedule counts quorum_short/replica_failures and
-// owes its subfile to take_scrub_debt() — epoch re-sync and scrub repair
-// the divergence, which is what makes sloppy acks safe.
+// as soon as W replicas acked. Every request in flight lives in one table
+// keyed by req_id; the group's remaining entries flip in place from
+// foreground (owned by the running access) to background stragglers that
+// keep their retry schedule under the same resend rule, and the one
+// receive loop serves them whenever the client waits on the network (and
+// in drain_stragglers()). A straggler that completes late is deduplicated
+// server-side by req_id; one abandoned past its schedule counts
+// quorum_short/replica_failures and owes its subfile to take_scrub_debt()
+// — epoch re-sync and scrub repair the divergence, which is what makes
+// sloppy acks safe.
 #pragma once
 
 #include <chrono>
@@ -201,7 +204,7 @@ class ClusterfileClient {
   /// split. Stragglers are pumped whenever the client waits on the network;
   /// drain_stragglers() blocks until none are pending (each either acks or
   /// exhausts its retry schedule — bounded by RetryPolicy, never forever).
-  std::size_t stragglers_pending() const { return stragglers_.size(); }
+  std::size_t stragglers_pending() const;
   std::int64_t stragglers_completed() const { return stragglers_completed_; }
   std::int64_t stragglers_abandoned() const { return stragglers_abandoned_; }
   void drain_stragglers();
@@ -330,68 +333,107 @@ class ClusterfileClient {
 
   using Clock = std::chrono::steady_clock;
 
-  /// A fan-out request demoted to background completion once its group met
-  /// its quorum: keeps the in-flight request's retry schedule (sealed
-  /// message ready to retransmit with the *same* req_id, so servers dedup a
-  /// late original crossing a retransmit) and is pumped whenever the client
-  /// waits on the network. `group_short` is shared by every straggler of
-  /// one group so the first abandonment — and only the first — counts
-  /// quorum_short.
-  struct Straggler {
+  /// One request in flight, keyed by req_id in pending_. A *foreground*
+  /// entry belongs to the running transact call and regenerates its message
+  /// through that call's rebuild/reinstall. A *background* entry (a quorum
+  /// straggler) belongs to a group that already met its quorum: it owns no
+  /// closures, only the sealed retransmit copy made at demotion (same
+  /// req_id, so servers dedup a late original crossing a retransmit).
+  struct Pending {
+    std::size_t index = 0;  ///< request index in the owning call (foreground)
+    std::size_t group = 0;  ///< group index in the owning call (foreground)
     int subfile = 0;
-    int io_node = -1;
-    int attempts = 1;
+    int io_node = -1;       ///< node serving the request (moves on failover)
+    int attempts = 1;       ///< carries across failovers: one schedule
+    bool background = false;
+    /// A kSetView re-install launched to recover a primary from
+    /// kUnknownView; `partner` is the paused primary's req_id (and, while
+    /// the primary waits with `waiting_view`, the other way round).
+    bool is_aux = false;
+    bool waiting_view = false;
+    std::uint64_t partner = 0;
+    std::vector<int> backups;         ///< failover chain (reads)
     Clock::time_point deadline;       ///< next retransmit fires here
-    Clock::time_point hard_deadline;  ///< the group's delivery budget end
-    Message msg;                      ///< sealed retransmit copy
+    Clock::time_point hard_deadline;  ///< the access's delivery budget end
+    Message msg;                      ///< background: sealed retransmit copy
+    /// Background: shared by every straggler of one group, so the first
+    /// abandonment — and only the first — counts quorum_short.
     std::shared_ptr<bool> group_short;
   };
+  using PendingMap = std::unordered_map<std::uint64_t, Pending>;
+  /// The running transact call's context (client.cpp); null outside one.
+  struct Call;
+  /// Where a resend is aimed: the same node, or the next backup with the
+  /// node just given up on rejoining the chain's tail (kRotate, a missed
+  /// deadline) or leaving it (kDrop, a terminal error).
+  enum class Retarget : std::uint8_t { kNone, kRotate, kDrop };
 
   /// The reliable request engine. Sends every request (already built —
-  /// payload gathering stays outside the t_w window), matches replies of
-  /// kind `expected` by req_id, retransmits on timeout via `rebuild(i)`
-  /// (which regenerates request i, payload included; transact retargets it
-  /// to the replica currently serving the request), recovers from
-  /// kUnknownView via `reinstall(i)` (a fresh kSetView for request i's
-  /// target, or nullopt when not applicable), and fails over along a
-  /// request's backup chain when its current node is given up on. One
-  /// delivery budget — RetryPolicy::budget(), the summed backoff schedule —
-  /// spans a request's whole replica chain: attempts never reset on
-  /// failover and every deadline is clipped to the budget's end. With
+  /// payload gathering stays outside the t_w window) as a foreground entry
+  /// of pending_, matches replies of kind `expected` by req_id, retransmits
+  /// via `rebuild(i)` (which regenerates request i, payload included;
+  /// transact retargets it to the replica currently serving the request),
+  /// recovers from kUnknownView via `reinstall(i)` (a fresh kSetView for
+  /// request i's target, or nullopt when not applicable), and fails over
+  /// along a request's backup chain when its current node is given up on.
+  /// One delivery budget — RetryPolicy::budget(), the summed backoff
+  /// schedule — spans a request's whole replica chain: attempts never reset
+  /// on failover and every deadline is clipped to the budget's end. With
   /// `quorum` > 0, a group whose ok count reaches min(quorum, fan-out)
-  /// demotes its remaining requests to stragglers_ instead of waiting them
-  /// out. Fills
-  /// `t.per_subfile` with one status per *group* (group_count entries):
-  /// kFailed only when every replica of the group was lost; kDegraded when
-  /// data survived but a replica didn't. Throws TimeoutError /
-  /// runtime_error only for kFailed groups unless allow_partial is set;
-  /// always throws if the network closes.
+  /// demotes its remaining entries to background instead of waiting them
+  /// out. Fills `t.per_subfile` with one status per *group* (group_count
+  /// entries): kFailed only when every replica of the group was lost;
+  /// kDegraded when data survived but a replica didn't. Throws
+  /// TimeoutError / runtime_error only for kFailed groups unless
+  /// allow_partial is set; always throws if the network closes.
   void transact(std::vector<TxReq> reqs, std::size_t group_count,
                 MsgKind expected, int quorum,
                 const std::function<Message(std::size_t)>& rebuild,
                 const std::function<std::optional<Message>(std::size_t)>& reinstall,
                 AccessTimings& t, std::vector<Message>* replies);
 
-  /// Earliest straggler retransmit deadline (time_point::max() when none).
-  Clock::time_point straggler_next_deadline() const;
-  /// Retransmits every straggler whose deadline passed; abandons those past
-  /// their schedule. Counters go straight to rel_ (see AccessTimings::rel).
-  void straggler_handle_timeouts(Clock::time_point now);
-  /// Consumes a reply addressed to a straggler (completion, retryable
-  /// error, or terminal error). False when the req_id matches no straggler.
-  bool straggler_handle_reply(Message&& msg);
-  /// Resends a straggler after its reply arrived corrupted; false when the
-  /// id matches no straggler (or its schedule is exhausted — abandoned).
-  bool straggler_handle_corrupt_reply(std::uint64_t req_id);
-  void straggler_abandon(std::uint64_t req_id);
+  /// The one receive loop: fires expired deadlines and dispatches replies
+  /// until the running call has no foreground entry left, or — outside a
+  /// call (drain_stragglers) — until pending_ is empty.
+  void pump();
+  void on_timeouts(Clock::time_point now);
+  void on_reply(Message&& msg);
+  /// Seals `msg` under a fresh req_id, enters `p` into pending_ with its
+  /// first deadline and sends; returns the req_id.
+  std::uint64_t launch(Pending p, Message msg);
+  /// The one resend rule: while attempts < max_attempts and the delivery
+  /// budget lasts, bumps the attempt (optionally moving to a backup first),
+  /// regenerates the message with the same req_id, re-arms the deadline and
+  /// sends it. Returns false, touching nothing, when the outcome is
+  /// terminal instead. A background entry whose node's inbox closed is
+  /// abandoned; a foreground one throws.
+  bool resend(std::uint64_t id, Pending& p, Retarget to = Retarget::kNone);
+  /// Terminal outcome for entry `id` on its current node: a foreground
+  /// request fails over to its next backup while the resend rule allows,
+  /// else counts as lost; an aux re-install hands the outcome to its
+  /// primary; a background entry is abandoned.
+  void give_up(std::uint64_t id, const std::string& why, bool timed_out);
+  /// Drops a background entry past its schedule: replica_failures, the
+  /// group's quorum_short, and scrub debt for its (subfile, node).
+  void abandon(PendingMap::iterator it);
+  /// Quorum met: flips the group's remaining foreground entries to
+  /// background in place (their aux re-installs are dropped).
+  void demote(std::size_t group);
+  /// The message entry `p` (re)sends: the sealed copy for background, else
+  /// a regeneration through the running call, aimed at p.io_node.
+  Message request_for(const Pending& p) const;
+  /// Where entry `p`'s counters go: the running access's AccessTimings::rel
+  /// for foreground entries, the cumulative rel_ for background ones.
+  ReliabilityCounters& counters_for(const Pending& p);
   /// Sends one message; throws std::runtime_error if the destination inbox
   /// is closed (a silently dropped request would hang the reply wait).
   void send_or_throw(Message msg);
   /// Stamps req_id (and the checksum when the network asks for it).
   void seal(Message& msg, std::uint64_t req_id);
   /// Re-snapshots replicas_ when the placement directory's epoch moved, and
-  /// drops stragglers and scrub debt aimed at nodes that no longer hold
-  /// their subfile. Called at the start of every access, under the canary.
+  /// drops background entries and scrub debt aimed at nodes that no longer
+  /// hold their subfile. Called at the start of every access, under the
+  /// canary.
   void maybe_refresh_placement();
 
   Network& net_;
@@ -412,9 +454,10 @@ class ClusterfileClient {
   RetryPolicy policy_;
   bool allow_partial_ = false;
   ReliabilityCounters rel_;
-  /// Background completion set: fan-out requests outliving their group's
-  /// quorum, keyed by req_id. Pumped by transact and drain_stragglers.
-  std::unordered_map<std::uint64_t, Straggler> stragglers_;
+  /// Every request in flight, foreground and background (see Pending).
+  /// A member so its buckets survive across accesses.
+  PendingMap pending_;
+  Call* call_ = nullptr;
   std::int64_t stragglers_completed_ = 0;
   std::int64_t stragglers_abandoned_ = 0;
   std::int64_t stragglers_purged_ = 0;

@@ -189,8 +189,8 @@ void IoServer::handle(Message&& msg) {
       MutexLock lock(mu_);
       ++rel_.corruptions_detected;
     }
-    PFM_WARN("IoServer ", node_id_, ": checksum mismatch on ",
-             to_string(msg.kind), " from ", msg.src_node);
+    PFM_DEBUG("IoServer ", node_id_, ": checksum mismatch on ",
+              to_string(msg.kind), " from ", msg.src_node);
     reply_error(msg, ErrCode::kBadChecksum, "payload checksum mismatch");
     return;
   }
@@ -545,7 +545,7 @@ void IoServer::handle_sync_reply(Message&& msg) {
     MutexLock lock(mu_);
     const auto wit = sync_waits_.find(msg.req_id);
     if (wit == sync_waits_.end()) {
-      PFM_WARN("IoServer ", node_id_, ": stale sync reply ", msg.req_id);
+      PFM_DEBUG("IoServer ", node_id_, ": stale sync reply ", msg.req_id);
       return;
     }
     wit->second.out = out;
@@ -566,8 +566,8 @@ void IoServer::handle_error_reply(const Message& msg) {
           std::string(to_string(msg.err)) + ": " + msg.meta;
       wit->second.done = true;
     } else {
-      PFM_WARN("IoServer ", node_id_, ": unexpected error reply ",
-               to_string(msg.err), " (", msg.meta, ")");
+      PFM_DEBUG("IoServer ", node_id_, ": unexpected error reply ",
+                to_string(msg.err), " (", msg.meta, ")");
       return;
     }
   }

@@ -205,8 +205,8 @@ void CopyQueue::worker() {
     try {
       ok = execute_(entry, &stats);
     } catch (const std::exception& e) {
-      PFM_ERROR("copy: subfile ", entry.subfile, " -> node ",
-                entry.target_node, " threw: ", e.what());
+      PFM_WARN("copy: subfile ", entry.subfile, " -> node ",
+               entry.target_node, " threw: ", e.what());
     }
     {
       MutexLock lock(mu_);

@@ -53,9 +53,15 @@ class PFM_CAPABILITY("mutex") Mutex {
   }
 
   void unlock() PFM_RELEASE() {
+#if PFM_LOCKDEP_ON
+    // Read before the release: once mu_ is free another thread may destroy
+    // the object this mutex lives in (a Channel whose destructor waited for
+    // this thread to leave it), so *this must not be touched afterwards.
+    const lockdep::LockClass* cls = class_;
+#endif
     mu_.unlock();
 #if PFM_LOCKDEP_ON
-    lockdep::note_release(class_);
+    lockdep::note_release(cls);
 #endif
   }
 

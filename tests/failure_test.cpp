@@ -68,6 +68,10 @@ TEST(Failure, ClientSurfacesServerErrors) {
   fs.network().inbox(4).close();
   const Buffer data = make_pattern_buffer(16, 2);
   EXPECT_THROW(client.write(vid, 0, 15, data), std::runtime_error);
+  // The failed access left nothing in flight: its requests pointed at the
+  // caller's buffer, so a later wait on the network must not resend them.
+  client.drain_stragglers();
+  EXPECT_EQ(client.stragglers_pending(), 0u);
 }
 
 TEST(Failure, NetworkCloseUnblocksWaitingClient) {

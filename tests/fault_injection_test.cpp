@@ -857,6 +857,74 @@ TEST(Quorum, LateStragglerAckIsDedupedNotDoubleApplied) {
   EXPECT_EQ(back, data);
 }
 
+// A straggler whose replies arrive corrupted is resent under the same rule
+// as any request and, at the attempt limit, abandoned to scrub. Write acks
+// carry no bytes for the injector to flip, so the corrupted replies here are
+// node 5's kBadChecksum answers to its (also corrupted) write requests; the
+// node is isolated during the write so both of its requests are certain to
+// be demoted before any reply exists.
+TEST(Quorum, CorruptedStragglerRepliesAreResentThenAbandonedToScrub) {
+  ClusterConfig cfg = replicated_config();
+  cfg.write_quorum = 1;
+  Clusterfile fs(cfg, pattern2d(Partition2D::kRowBlocks, 16, 4));
+  auto& client = fs.client(0);
+  client.set_retry_policy(fast_policy());
+  const auto views = partition2d_all(Partition2D::kColumnBlocks, 16, 16, 4);
+  const std::int64_t vid = client.set_view(views[0], 256);
+  client.write(vid, 0, 63, make_pattern_buffer(64, 101));
+  client.drain_stragglers();
+  ASSERT_TRUE(client.reliability().all_zero());
+
+  FaultPlan plan;
+  plan.seed = 43;
+  FaultRule bad_writes;
+  bad_writes.dst = 5;
+  bad_writes.kind = MsgKind::kWrite;
+  bad_writes.corrupt = 1.0;
+  plan.rules.push_back(bad_writes);
+  FaultRule bad_errors;
+  bad_errors.src = 5;
+  bad_errors.kind = MsgKind::kError;
+  bad_errors.corrupt = 1.0;
+  plan.rules.push_back(bad_errors);
+  fs.install_faults(plan);
+  fs.faults().isolate(5);
+
+  const Buffer data = make_pattern_buffer(64, 102);
+  const std::int64_t completed = client.stragglers_completed();
+  const auto w = client.write(vid, 0, 63, data);
+  EXPECT_TRUE(w.ok());
+  EXPECT_GE(w.stragglers, 2);  // both node-5 requests, still unanswered
+  fs.faults().restore(5);
+
+  client.drain_stragglers();
+  EXPECT_EQ(client.stragglers_pending(), 0u);
+  // Every straggler but node 5's completes; node 5's two are abandoned.
+  EXPECT_EQ(client.stragglers_completed() - completed, w.stragglers - 2);
+  EXPECT_EQ(client.stragglers_abandoned(), 2);
+  // Only each first attempt (lost to the isolation) waited out its timer:
+  // every corrupted reply was resent at once, and the last one abandoned.
+  EXPECT_EQ(client.reliability().timeouts, 2);
+  EXPECT_GE(client.reliability().corruptions_detected, 2);
+  EXPECT_GE(fs.server_reliability().corruptions_detected, 2);
+  EXPECT_EQ(client.reliability().quorum_short, 2);
+  EXPECT_EQ(client.reliability().failures, 0);
+  std::vector<int> debt = client.take_scrub_debt();
+  std::sort(debt.begin(), debt.end());
+  EXPECT_EQ(debt, (std::vector<int>{0, 1}));
+
+  // Node 5 never applied the write; scrub repairs it from node 4.
+  fs.install_faults(FaultPlan{});
+  const ScrubReport rep = fs.scrub();
+  EXPECT_GT(rep.repaired_blocks, 0);
+  for (std::size_t i = 0; i < fs.subfile_count(); ++i)
+    EXPECT_EQ(replica_image(fs, i, 0), replica_image(fs, i, 1))
+        << "subfile " << i;
+  Buffer back(64);
+  client.read(vid, 0, 63, back);
+  EXPECT_EQ(back, data);
+}
+
 // The retry budget is per access, not per replica: a target whose entire
 // replica chain is dead fails after ONE backoff schedule (20+40+60 =
 // 120ms with fast_policy), not one schedule per replica tried.

@@ -23,6 +23,13 @@ Message make_msg(int dst) {
   return m;
 }
 
+/// Spins until `n` threads are parked inside `ch`'s send/receive, so the
+/// teardown that follows really races a blocked peer — a fixed sleep lets
+/// the teardown win under load and the thread then enters a freed channel.
+void wait_for_waiters(const Channel& ch, std::size_t n) {
+  while (ch.waiters() < n) std::this_thread::yield();
+}
+
 TEST(Shutdown, DestroyChannelWithBlockedSender) {
   // Capacity-1 channel, one message already queued: the second send blocks
   // on not_full_. Destroying the channel used to free the mutex and
@@ -35,9 +42,7 @@ TEST(Shutdown, DestroyChannelWithBlockedSender) {
   // main thread resets it would be a (test-side) race on the pointer itself.
   Channel* raw = ch.get();
   std::thread sender([&, raw] { send_result = raw->send(make_msg(0)); });
-  // Give the sender time to park inside send; if it has not blocked yet it
-  // observes the closed flag instead — both paths must report false.
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  wait_for_waiters(*ch, 1);  // the sender is parked inside send
   ch.reset();  // close + drain + destroy
   sender.join();
   EXPECT_FALSE(send_result.load());  // the blocked message was dropped
@@ -48,7 +53,7 @@ TEST(Shutdown, DestroyChannelWithBlockedReceiver) {
   std::atomic<bool> got_message{true};
   Channel* raw = ch.get();
   std::thread receiver([&, raw] { got_message = raw->receive().has_value(); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  wait_for_waiters(*ch, 1);
   ch.reset();
   receiver.join();
   EXPECT_FALSE(got_message.load());
@@ -64,7 +69,7 @@ TEST(Shutdown, CloseThenDestroyUnblocksManySenders) {
     senders.emplace_back([&, raw] {
       if (raw->send(make_msg(0))) ++delivered;
     });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  wait_for_waiters(*ch, 8);
   ch->close();  // explicit close first, destructor right behind it
   ch.reset();
   for (std::thread& t : senders) t.join();
